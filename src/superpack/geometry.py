@@ -252,22 +252,30 @@ class SuperballRegion:
         return norm_batch(pts, space) <= self.radius
 
     def sample(self, space: SpaceParams, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Uniform points by rejection from the bounding cube.
+        """Exact uniform points in the ball, O(n) per point, no rejection.
 
-        The draw sequence is deterministic for a given generator state:
-        fixed-size batches are drawn until enough points are accepted.
+        Barthe, Guedon, Mendelson and Naor (Ann. Probab. 33 (2005)
+        480-513): if X has density proportional to exp(-|X|^p) and
+        W ~ Exp(1) is independent, X / (|X|^p + W)^(1/p) is uniform on
+        the unit ball. For the block norm that density factorises over
+        the blocks: block j of X is a uniform direction g_j/|g_j|_2 with
+        g standard normal, times a radius G_j^(1/p) with
+        G_j ~ Gamma(d_j/p), so |X|^p = sum_j G_j.
+
+        One batch per call, drawn in this order: a (size, n) standard
+        normal array, a (size, m) Gamma array with shapes d_j/p, then
+        size Exp(1) values. The draw sequence is therefore a fixed
+        function of the generator state and ``size``.
         """
-        R = self.radius
-        out = np.empty((size, space.n))
-        have = 0
-        batch = max(64, 2 * size)
-        while have < size:
-            cand = rng.uniform(-R, R, size=(batch, space.n))
-            keep = cand[norm_batch(cand, space) <= R]
-            take = min(size - have, len(keep))
-            out[have : have + take] = keep[:take]
-            have += take
-        return out
+        blocks, p = space.blocks, space.p
+        dims = np.asarray(blocks.block_dims)
+        g = rng.standard_normal((size, space.n))
+        G = rng.standard_gamma(dims / p, size=(size, blocks.m))
+        W = rng.standard_exponential(size)
+        g_norm = np.sqrt(np.add.reduceat(g * g, blocks.starts, axis=-1))
+        radial = np.power(G, 1.0 / p) / g_norm
+        shrink = self.radius / np.power(G.sum(axis=-1) + W, 1.0 / p)
+        return g * np.repeat(radial * shrink[:, None], dims, axis=-1)
 
     def to_json(self) -> dict:
         return {"kind": "ball", "size": self.radius}

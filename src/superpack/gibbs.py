@@ -787,13 +787,17 @@ def intersection_volume_mc(
     nu = float(norm_batch(u, space))
     if nu == 0.0:
         return 0.0, 0.0
-    rng = np.random.default_rng(seed)
-    ball = SuperballRegion(nu)
-    pts = ball.sample(space, rng, samples)
+    vol, se, _, _ = _lens_sample(space, u, nu, samples, seed)
+    return vol, se
+
+
+def _lens_sample(space, u, nu, samples, seed):
+    """(vol, se, points, lens mask) for u != 0 with |u| = nu."""
+    pts = SuperballRegion(nu).sample(space, np.random.default_rng(seed), samples)
     inside = norm_batch(pts - u, space) <= 2.0 * space.r_unit
     frac = float(inside.mean())
     vol_outer = (nu / space.r_unit) ** space.n
-    return vol_outer * frac, vol_outer * math.sqrt(frac * (1 - frac) / samples)
+    return vol_outer * frac, vol_outer * math.sqrt(frac * (1 - frac) / samples), pts, inside
 
 
 @dataclass(frozen=True)
@@ -821,8 +825,6 @@ def intersection_volume_check(
     intersection points are additionally required to lie in
     B(u/2, c'_p r_unit), the containment behind the bound.
     """
-    if space.n > 8:
-        raise InputError("intersection check supports n <= 8")
     if chain is None:
         chain = compute_constant_chain(space.p)
     r = space.r_unit
@@ -836,14 +838,11 @@ def intersection_volume_check(
     containment_ok = True
     for u, s in zip(us, sub_seeds):
         nu = float(norm_batch(u, space))
-        vol, se = intersection_volume_mc(space, u, samples_per_trial, int(s))
+        vol, se, pts, in_lens = _lens_sample(space, u, nu, samples_per_trial, int(s))
         ok = vol <= bound + 3.0 * se
         cont = True
         if nu >= chain.x_p * r:
             # recheck the two-ball containment on the sampled points
-            sub = np.random.default_rng(int(s))
-            pts = SuperballRegion(nu).sample(space, sub, samples_per_trial)
-            in_lens = norm_batch(pts - u, space) <= 2.0 * r
             if in_lens.any():
                 d_mid = norm_batch(pts[in_lens] - u / 2.0, space)
                 cont = bool((d_mid <= chain.c_prime * r * (1 + 1e-12)).all())

@@ -35,7 +35,7 @@ import scipy.sparse
 
 from .constants import ConstantChain
 from .errors import ComputationError, InputError
-from .geometry import BlockSpec, SpaceParams, norm_batch
+from .geometry import BlockSpec, SpaceParams, SuperballRegion, norm_batch
 
 __all__ = [
     "MAX_EDGES",
@@ -185,16 +185,8 @@ def build_lattice(R: float, eps: float, space: SpaceParams) -> Lattice:
 def cover_check(lattice: Lattice, probes: int = 100_000, seed: int = 0) -> dict:
     """Every point of B(0, R - margin) should lie in some listed cube."""
     params = lattice.params
-    rng = np.random.default_rng(seed)
-    shrunk = params.R - params.margin
-    space = params.space
-    # rejection sampling from the bounding cube of the shrunken ball
-    pts = np.empty((0, space.n))
-    while len(pts) < probes:
-        cand = rng.uniform(-shrunk, shrunk, size=(2 * probes, space.n))
-        cand = cand[norm_batch(cand, space) <= shrunk]
-        pts = np.concatenate([pts, cand])
-    pts = pts[:probes]
+    shrunk = SuperballRegion(params.R - params.margin)
+    pts = shrunk.sample(params.space, np.random.default_rng(seed), probes)
     covered = int((lattice.locate(pts) >= 0).sum())
     return {"probes": probes, "covered": covered, "ok": covered == probes}
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import stats
 
 from superpack.errors import InputError
 from superpack.geometry import (
@@ -244,3 +245,69 @@ class TestRegions:
             SuperballRegion(bad)
         with pytest.raises(InputError):
             TorusRegion(bad)
+
+
+def _rejection_sample(space, R, rng, size):
+    """Uniform ball points by rejection from the bounding cube: the reference law."""
+    kept, have = [], 0
+    while have < size:
+        cand = rng.uniform(-R, R, size=(4 * size, space.n))
+        kept.append(cand[norm_batch(cand, space) <= R])
+        have += len(kept[-1])
+    return np.concatenate(kept)[:size]
+
+
+class TestBallSampler:
+    # every statistical test runs at a fixed seed and fails below this p-value
+    ALPHA = 1e-3
+
+    @pytest.mark.parametrize(
+        "p,cuts",
+        [
+            (1.05, tuple(range(9))),
+            (1.1, tuple(range(7))),
+            (1.5, (0, 2, 3)),
+            (2.0, (0, 3)),
+            (1.0, (0, 1)),
+        ],
+    )
+    def test_radial_law(self, p, cuts):
+        # vol B(sR) / vol B(R) = s^n, so (|x|/R)^n is uniform on [0, 1]
+        space = SpaceParams.create(p, cuts)
+        pts = SuperballRegion(2.5).sample(space, np.random.default_rng(101), 50_000)
+        u = (norm_batch(pts, space) / 2.5) ** space.n
+        assert stats.kstest(u, "uniform").pvalue > self.ALPHA
+
+    @pytest.mark.parametrize(
+        "p,cuts",
+        [(1.05, (0, 1, 2, 3)), (1.1, (0, 1, 3, 6)), (1.5, (0, 2, 3)), (2.0, (0, 2, 5))],
+    )
+    def test_block_shares_are_dirichlet(self, p, cuts):
+        # (|x_(j)|^p / |x|^p)_j is Dirichlet(d_1/p, ..., d_m/p), so each
+        # share is Beta(d_j/p, (n - d_j)/p)
+        space = SpaceParams.create(p, cuts)
+        pts = SuperballRegion(1.0).sample(space, np.random.default_rng(202), 50_000)
+        total = norm_batch(pts, space) ** p
+        for a, b in zip(cuts, cuts[1:]):
+            share = np.linalg.norm(pts[:, a:b], axis=1) ** p / total
+            law = ((b - a) / p, (space.n - b + a) / p)
+            assert stats.kstest(share, "beta", args=law).pvalue > self.ALPHA
+
+    @pytest.mark.parametrize("p,cuts", [(1.1, (0, 1, 2, 3)), (1.5, (0, 2, 3)), (2.0, (0, 3))])
+    def test_coordinates_match_rejection(self, p, cuts):
+        space = SpaceParams.create(p, cuts)
+        exact = SuperballRegion(1.5).sample(space, np.random.default_rng(303), 20_000)
+        ref = _rejection_sample(space, 1.5, np.random.default_rng(304), 20_000)
+        for i in range(space.n):
+            assert stats.ks_2samp(exact[:, i], ref[:, i]).pvalue > self.ALPHA
+
+    def test_empty_batch(self, rng):
+        space = SpaceParams.create(1.5, (0, 2, 3))
+        assert SuperballRegion(1.0).sample(space, rng, 0).shape == (0, 3)
+
+    @given(spaces(), st.floats(0.1, 100.0), st.integers(0, 2**32 - 1))
+    def test_points_in_closed_ball(self, space, R, seed):
+        region = SuperballRegion(R)
+        pts = region.sample(space, np.random.default_rng(seed), 200)
+        assert pts.shape == (200, space.n)
+        assert region.contains_points(pts, space).all()

@@ -360,7 +360,8 @@ class TestIntersectionVolume:
         rep = intersection_volume_check(space, trials=40, seed=13, samples_per_trial=50_000)
         assert rep.all_ok and rep.containment_ok
 
-    def test_dimension_cap(self):
-        space = SpaceParams.create(1.5, tuple(range(10)))
-        with pytest.raises(InputError):
-            intersection_volume_check(space, trials=1, seed=0)
+    def test_check_report_10d(self):
+        space = SpaceParams.create(1.5, (0, 2, 5, 10))
+        rep = intersection_volume_check(space, trials=40, seed=17, samples_per_trial=20_000)
+        assert rep.all_ok and rep.containment_ok
+        assert any(r["containment_checked"] for r in rep.records)
