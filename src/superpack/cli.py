@@ -144,10 +144,16 @@ def cmd_volume(args) -> int:
             pts = rng.uniform(-1.0, 1.0, size=(m, space.n))
             hits += int((norm_batch(pts, space) <= 1.0).sum())
             done += m
+        if hits == 0:
+            # zero hits bound the volume, they do not estimate it as 0
+            raise ComputationError(
+                f"no cube sample hit the unit ball; 95% upper bound on the volume: "
+                f"3 * 2^{space.n} / {args.mc} = {3.0 * 2.0**space.n / args.mc:.3g}"
+            )
         frac = hits / args.mc
         est = frac * 2.0**space.n
         se = 2.0**space.n * np.sqrt(frac * (1.0 - frac) / args.mc)
-        payload["mc"] = {"estimate": est, "se": se, "samples": args.mc, "seed": args.seed}
+        payload["mc"] = {"estimate": est, "se": se, "hits": hits, "samples": args.mc, "seed": args.seed}
     _emit(payload, _resolve_out(args.out))
     return 0
 

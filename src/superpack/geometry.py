@@ -44,6 +44,7 @@ __all__ = [
     "norm_batch",
     "distance",
     "distance_batch",
+    "min_pairwise",
     "contains",
 ]
 
@@ -208,13 +209,14 @@ def norm(x, space: SpaceParams) -> float:
 def _min_image(diff: np.ndarray, side: float) -> np.ndarray:
     # wraps each coordinate difference into (-L/2, L/2]; the block norm is
     # coordinatewise monotone so per-coordinate wrapping minimizes it
-    return diff - side * np.round(diff / side)
+    return diff - side * np.rint(diff / side)
 
 
 def distance_batch(X, y, space: SpaceParams, region=None) -> np.ndarray:
     """Distances from each row of ``X`` to the single point ``y``.
 
-    On a torus region, the minimum-image convention applies.
+    ``y`` may also hold one point per row of ``X``, giving row-wise pair
+    distances. On a torus region, the minimum-image convention applies.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -222,6 +224,25 @@ def distance_batch(X, y, space: SpaceParams, region=None) -> np.ndarray:
     if isinstance(region, TorusRegion):
         diff = _min_image(diff, region.side)
     return norm_batch(diff, space)
+
+
+def min_pairwise(centers, space: SpaceParams, region=None, chunk: int = 512) -> float:
+    """Minimum distance over all pairs of rows of ``centers`` (inf below two).
+
+    Rows go ``chunk`` at a time against all rows, so memory stays at
+    chunk * t * n. On a torus region, the minimum-image convention applies.
+    """
+    centers = np.asarray(centers, dtype=np.float64)
+    t = len(centers)
+    if t < 2:
+        return math.inf
+    best = math.inf
+    for start in range(0, t, chunk):
+        block = centers[start : start + chunk]
+        d = distance_batch(block[:, None, :], centers[None, :, :], space, region)
+        d[np.arange(len(block)), np.arange(start, start + len(block))] = math.inf  # self distances
+        best = min(best, float(d.min()))
+    return best
 
 
 def distance(x, y, space: SpaceParams, region=None) -> float:

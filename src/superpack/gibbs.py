@@ -22,6 +22,7 @@ its standard error.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -37,6 +38,8 @@ from .geometry import (
     SpaceParams,
     SuperballRegion,
     TorusRegion,
+    distance_batch,
+    min_pairwise,
     norm_batch,
 )
 
@@ -104,52 +107,6 @@ class ModelParams:
         }
 
 
-def _pair_distance_fn(space: SpaceParams, region):
-    """Distances from one point to a block of points, minimal overhead.
-
-    Returns dists(C, y) -> 1d array of |c_i - y| with the torus minimum
-    image applied when the region is a torus.
-    """
-    p = space.p
-    n = space.n
-    starts = space.blocks.starts
-    single = space.blocks.m == 1
-    torus = isinstance(region, TorusRegion)
-    side = region.side if torus else 0.0
-
-    def dists(C, y):
-        d = C - y
-        if torus:
-            d -= side * np.round(d / side)
-        if n == 1:
-            return np.abs(d).reshape(-1)
-        if p == 2.0:
-            return np.sqrt(np.einsum("ij,ij->i", d, d))
-        sq = d * d
-        bn = np.sqrt(sq.sum(axis=1) if single else np.add.reduceat(sq, starts, axis=1))
-        if single:
-            return bn
-        if p == 1.0:
-            return bn.sum(axis=1)
-        return (bn**p).sum(axis=1) ** (1.0 / p)
-
-    return dists
-
-
-def _cross_distance_fn(space: SpaceParams, region):
-    """Distances between two point sets, shape (len(A), len(B))."""
-    torus = isinstance(region, TorusRegion)
-    side = region.side if torus else 0.0
-
-    def dists(A, B):
-        d = A[:, None, :] - B[None, :, :]
-        if torus:
-            d -= side * np.round(d / side)
-        return norm_batch(d, space)
-
-    return dists
-
-
 @dataclass
 class Configuration:
     """A hard-core state: center array of shape (t, n)."""
@@ -161,18 +118,22 @@ class Configuration:
         """Recheck the hard-core and membership invariants exactly.
 
         Returns the minimum pairwise distance (inf for t < 2); raises
-        ComputationError on any violation.
+        ComputationError on any violation. Pairs come from the cell grid
+        first; its minimum is exact once it is at most the cell side,
+        since every pair that close is a candidate. Otherwise, and when
+        the region is too small to subdivide, all pairs are checked.
         """
         C = np.asarray(self.centers, dtype=np.float64).reshape(-1, self.params.space.n)
         space, region = self.params.space, self.params.region
         if len(C) and not region.contains_points(C, space).all():
             raise ComputationError("configuration has a center outside the region")
-        if len(C) < 2:
-            return math.inf
-        cross = _cross_distance_fn(space, region)
-        dmat = cross(C, C)
-        iu = np.triu_indices(len(C), 1)
-        dmin = float(dmat[iu].min())
+        grid = _CellGrid(space, region, self.params.exclusion)
+        dmin = math.inf
+        if grid.pays(len(C)):
+            for i, j, d in grid.pairs(C, C, space, region):
+                dmin = min(dmin, float(d[i < j].min(initial=math.inf)))
+        if not dmin <= grid.h * (1.0 - _GRID_SLACK):
+            dmin = min_pairwise(C, space, region)
         if dmin < self.params.exclusion:
             raise ComputationError(
                 f"hard-core violation: pair at distance {dmin} < {self.params.exclusion}"
@@ -228,8 +189,7 @@ def _quadrature(t: int, params: ModelParams, points_per_axis: int | None) -> flo
     M = len(pts)
     if M == 0:
         return 0.0
-    cross = _cross_distance_fn(params.space, params.region)
-    ok = cross(pts, pts) >= params.exclusion
+    ok = distance_batch(pts[:, None, :], pts[None], params.space, params.region) >= params.exclusion
     np.fill_diagonal(ok, False)
     if t == 2:
         ordered = float(ok.sum())
@@ -490,20 +450,24 @@ def _batch_var_se(series: np.ndarray, nbatch: int = 32) -> float:
 def _sample_one(region, space, rng):
     if isinstance(region, TorusRegion):
         return rng.random(space.n) * region.side
-    R = region.radius
-    while True:  # rejection from the bounding cube, deterministic draw order
-        y = rng.uniform(-R, R, space.n)
-        if float(norm_batch(y, space)) <= R:
-            return y
+    if space.n == 1:  # the bounding interval is the ball
+        return rng.uniform(-region.radius, region.radius, 1)
+    return region.sample(space, rng, 1)[0]
 
 
-class _CellIndex:
-    """Uniform-grid cell list over the region's bounding box.
+# relative margin between the cell side and the distances the grid must
+# catch; it covers rounding in the cell coordinates (about ncell ulps)
+_GRID_SLACK = 1e-9
 
-    Cell side >= the exclusion diameter, so any conflicting pair sits in
-    the same or an adjacent cell per axis: |u_i - v_i| <= d(u, v) by
-    coordinatewise monotonicity. Gathered candidates still get the exact
-    distance test. Mirrors the swap-with-last deletion of the caller.
+
+class _CellGrid:
+    """Uniform grid over the region's bounding box, cell side h >= exclusion.
+
+    A pair within h of each other on every axis sits in the same or an
+    adjacent cell per axis (cyclically on a torus). Since |u_i - v_i| <=
+    |u - v| for the block norm, that covers every pair at distance up to
+    h, in particular every conflicting pair. With fewer than 3 cells per
+    axis every cell is adjacent to every other and the grid is unusable.
     """
 
     def __init__(self, space, region, exclusion):
@@ -512,26 +476,81 @@ class _CellIndex:
             self.lo, span = 0.0, region.side
         else:
             self.lo, span = -region.radius, 2.0 * region.radius
-        self.ncell = max(1, int(span / exclusion))
+        self.ncell = max(1, int(span / (exclusion * (1.0 + _GRID_SLACK))))
         self.h = span / self.ncell
         self.n = space.n
-        self.cells = defaultdict(list)
-        self.key_of = []
-        self.offsets = list(itertools.product((-1, 0, 1), repeat=space.n))
+        self.weights = self.ncell ** np.arange(space.n, dtype=np.int64)
+
+    @functools.cached_property
+    def offsets(self):
+        # 3^n rows: built on first use only, after pays() has bounded n
+        return np.array(list(itertools.product((-1, 0, 1), repeat=self.n)), dtype=np.int64)
 
     @property
     def usable(self) -> bool:
-        return self.ncell >= 3  # otherwise every cell is a candidate anyway
+        return self.ncell >= 3
+
+    def pays(self, t: int) -> bool:
+        """Whether enumerating pairs against t centres beats all pairs.
+
+        The enumeration's fixed cost equals all pairs against 30-130
+        centres (n <= 4, 64 query rows, measured), and each query row
+        looks up 3^n cells, so t must reach both 64 and 3^n.
+        """
+        return self.usable and t >= max(64, 3**self.n)
+
+    def coords(self, X):
+        c = ((X - self.lo) / self.h).astype(np.int64)
+        np.minimum(c, self.ncell - 1, out=c)
+        return np.maximum(c, 0, out=c)
+
+    def pairs(self, A, B, space, region, keys_per_chunk=2**15):
+        """Candidate pairs (i, j, |A[i] - B[j]|) from the 3^n neighbour cells.
+
+        The centres B are sorted by cell id once; rows of A look up their
+        neighbour cells with searchsorted, keys_per_chunk // 3^n rows at a
+        time, and each chunk's pairs are yielded. Cell ids may wrap in
+        int64 on huge grids; a collision only adds candidates.
+        """
+        ids = self.coords(B) @ self.weights
+        order = np.argsort(ids, kind="stable")
+        ids = ids[order]
+        rows = max(1, keys_per_chunk // len(self.offsets))
+        for start in range(0, len(A), rows):
+            near = self.coords(A[start : start + rows])[:, None, :] + self.offsets
+            if self.torus:
+                near %= self.ncell
+            keys = near @ self.weights
+            first = np.searchsorted(ids, keys, "left").ravel()
+            counts = np.searchsorted(ids, keys, "right").ravel() - first
+            if not self.torus:  # neighbours off the grid hold nothing
+                counts[((near < 0) | (near >= self.ncell)).any(axis=-1).ravel()] = 0
+            ends = np.cumsum(counts)
+            j = order[np.arange(ends[-1]) + np.repeat(first - (ends - counts), counts)]
+            i = start + np.repeat(np.arange(len(near)), counts.reshape(len(near), -1).sum(axis=1))
+            yield i, j, distance_batch(A[i], B[j], space, region)
+
+
+class _CellIndex(_CellGrid):
+    """Incremental cell list on a _CellGrid for single insertions.
+
+    Gathered candidates still get the exact distance test. Mirrors the
+    swap-with-last deletion of the caller.
+    """
+
+    def __init__(self, space, region, exclusion):
+        super().__init__(space, region, exclusion)
+        self.cells = defaultdict(list)
+        self.key_of = []
+        self.offset_keys = [tuple(o) for o in self.offsets.tolist()]
 
     def _key(self, y):
-        c = ((y - self.lo) / self.h).astype(np.int64)
-        np.clip(c, 0, self.ncell - 1, out=c)
-        return tuple(c.tolist())
+        return tuple(self.coords(y).tolist())
 
     def candidates(self, y):
         key = self._key(y)
         out = []
-        for off in self.offsets:
+        for off in self.offset_keys:
             if self.torus:
                 k = tuple((a + b) % self.ncell for a, b in zip(key, off))
             else:
@@ -586,11 +605,15 @@ def run_chain(
     against all current centers, so the hard-core invariant holds by
     induction after every accepted move; the configuration is
     re-validated from scratch every ``validate_every`` accepted moves
-    (0 disables) and always at the end. The screen goes through a
-    uniform-grid cell list once the population reaches
-    ``cell_list_min`` (pruning justified by coordinatewise
-    monotonicity); both screens are exact, so the chain's trajectory
-    does not depend on the switch point.
+    (0 disables) and always at the end. The insertion screen goes
+    through a uniform-grid cell list once the population reaches
+    ``cell_list_min``. A probe is free when no center lies within the
+    exclusion distance; probes and validation take their candidate
+    pairs from the same grid, in vectorised row chunks, once the centers
+    outnumber 64 and the 3^n neighbour cells. Cell pruning is exact
+    (coordinatewise monotonicity of the norm) and no screen draws
+    random numbers, so the trajectory does not depend on which screen
+    ran.
     """
     if not (steps > burn_in >= 0):
         raise InputError(f"need steps > burn_in >= 0, got {steps}, {burn_in}")
@@ -600,8 +623,7 @@ def run_chain(
     lamV = params.fugacity * V
     excl = params.exclusion
     rng = np.random.default_rng(seed)
-    dists = _pair_distance_fn(space, region)
-    cross = _cross_distance_fn(space, region)
+    grid = _CellGrid(space, region, excl)
 
     cap = 64
     centers = np.empty((cap, n))
@@ -614,8 +636,8 @@ def run_chain(
     def conflicted(y):
         if cells is not None:
             cand = cells.candidates(y)
-            return bool(cand) and bool((dists(centers[cand], y) < excl).any())
-        return t > 0 and bool((dists(centers[:t], y) < excl).any())
+            return bool(cand) and bool((distance_batch(centers[cand], y, space, region) < excl).any())
+        return t > 0 and bool((distance_batch(centers[:t], y, space, region) < excl).any())
 
     recorded = steps - burn_in
     counts = np.empty(recorded, dtype=np.int64)
@@ -679,8 +701,12 @@ def run_chain(
                 probes = region.sample(space, rng, fv_probes)
                 if t == 0:
                     free = fv_probes
+                elif grid.pays(t):
+                    hit = [i[d < excl] for i, _, d in grid.pairs(probes, centers[:t], space, region)]
+                    free = fv_probes - len(np.unique(np.concatenate(hit)))
                 else:
-                    free = int((cross(probes, centers[:t]).min(axis=1) >= excl).sum())
+                    d = distance_batch(probes[:, None, :], centers[None, :t], space, region)
+                    free = int((d.min(axis=1) >= excl).sum())
                 fv_fracs.append(free / fv_probes)
                 fv_now = free
         if collect_trace:

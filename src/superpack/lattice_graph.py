@@ -35,7 +35,7 @@ import scipy.sparse
 
 from .constants import ConstantChain
 from .errors import ComputationError, InputError
-from .geometry import BlockSpec, SpaceParams, SuperballRegion, norm_batch
+from .geometry import BlockSpec, SpaceParams, SuperballRegion, min_pairwise, norm_batch
 
 __all__ = [
     "MAX_EDGES",
@@ -411,20 +411,6 @@ def greedy_independent_set(graph: GeoGraph, order_rule: str = "mindeg") -> np.nd
     return chosen
 
 
-def _min_pairwise(centers: np.ndarray, space: SpaceParams, chunk: int = 512) -> float:
-    t = len(centers)
-    if t < 2:
-        return math.inf
-    best = math.inf
-    for start in range(0, t, chunk):
-        block = centers[start : start + chunk]
-        d = norm_batch(block[:, None, :] - centers[None, :, :], space)
-        rows = np.arange(start, start + len(block))
-        d[np.arange(len(block)), rows] = math.inf  # self distances
-        best = min(best, float(d.min()))
-    return best
-
-
 @dataclass(frozen=True)
 class PackingCertificate:
     """Self-contained proof of a packing: geometry plus its centers."""
@@ -467,7 +453,7 @@ def emit_packing(graph: GeoGraph, independent_set: np.ndarray) -> PackingCertifi
     params = graph.lattice.params
     space = params.space
     centers = graph.vertices[independent_set]
-    min_d = _min_pairwise(centers, space)
+    min_d = min_pairwise(centers, space)
     if not (min_d >= 2.0 * graph.radius):
         raise ComputationError(
             f"recomputed pairwise distance {min_d} is below the exclusion "
@@ -549,6 +535,6 @@ def verify_packing(cert) -> tuple[bool, float]:
     elif not isinstance(cert, PackingCertificate):
         raise InputError(f"cannot verify {type(cert).__name__}")
     centers = np.atleast_2d(cert.centers)
-    min_d = _min_pairwise(centers, cert.space)
+    min_d = min_pairwise(centers, cert.space)
     inside = bool((norm_batch(centers, cert.space) <= cert.R).all())
     return (inside and min_d >= 2.0 * cert.radius), min_d

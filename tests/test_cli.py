@@ -61,6 +61,16 @@ class TestVolume:
         exact = unit_ball_volume(1.5, BlockSpec((0, 1, 2)))
         assert data["volume"] == exact
         assert abs(data["mc"]["estimate"] - exact) <= 4 * data["mc"]["se"]
+        assert data["mc"]["estimate"] == data["mc"]["hits"] / 100000 * 4.0
+
+    def test_mc_without_hits_is_an_error_not_a_zero(self, capsys):
+        # the 12D p=1.05 ball fills 7e-9 of its cube; 0 hits bound the
+        # volume from above and must not be reported as an estimate of 0
+        cuts = ",".join(str(k) for k in range(13))
+        assert main(["volume", "--p", "1.05", "--cuts", cuts, "--mc", "200000", "--seed", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "3 * 2^12 / 200000 = 0.0614" in captured.err
 
     def test_bad_cuts_exit_2(self):
         assert main(["volume", "--p", "1.5", "--cuts", "0,a,2"]) == 2

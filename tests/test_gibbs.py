@@ -1,11 +1,17 @@
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from conftest import spaces
 from superpack.errors import ComputationError, InputError
-from superpack.geometry import SpaceParams, SuperballRegion, TorusRegion
+from superpack.geometry import SpaceParams, SuperballRegion, TorusRegion, distance_batch, min_pairwise
 from superpack.gibbs import (
+    _CellGrid,
     Configuration,
     ModelParams,
     canonical_partition,
@@ -278,6 +284,110 @@ class TestRunChain:
             bm = ind[: 32 * (len(ind) // 32)].reshape(32, -1).mean(axis=1)
             se = bm.std(ddof=1) / math.sqrt(32)
             assert abs(freq - target[t]) <= 4 * se
+
+
+def _trace_digest(est):
+    h = hashlib.sha256()
+    for key in sorted(est.trace):
+        h.update(est.trace[key].tobytes())
+    h.update(json.dumps(est.to_json(), sort_keys=True).encode())
+    return h.hexdigest()
+
+
+class TestCellGridScreen:
+    """Pair enumeration on the cell grid against all pairs."""
+
+    @staticmethod
+    def _hard_core_points(space, region, excl, rng, tries=400):
+        # random sequential insertion, then one partner at the exclusion
+        # distance along a coordinate axis for a few of the points
+        pts = []
+        for y in region.sample(space, rng, tries):
+            if not pts or distance_batch(np.array(pts), y, space, region).min() >= excl:
+                pts.append(y)
+        pts = np.array(pts)
+        step = np.zeros(space.n)
+        step[rng.integers(space.n)] = excl
+        partners = pts[:8] + step
+        if isinstance(region, TorusRegion):
+            partners %= region.side
+        else:
+            partners = partners[region.contains_points(partners, space)]
+        return pts, partners
+
+    @given(spaces(max_n=4), st.sampled_from(["torus", "ball"]), st.floats(2.0, 100.0),
+           st.integers(0, 2**32 - 1))
+    def test_probe_mask_and_validate_match_all_pairs(self, space, kind, cells, seed):
+        excl = 2.0 * space.r_unit
+        region = TorusRegion(cells * excl) if kind == "torus" else SuperballRegion(cells * excl / 2)
+        rng = np.random.default_rng(seed)
+        pts, partners = self._hard_core_points(space, region, excl, rng)
+
+        probes = np.concatenate([region.sample(space, rng, 64), partners])
+        brute = distance_batch(probes[:, None, :], pts[None], space, region)
+        grid = _CellGrid(space, region, excl)
+        assert grid.usable == (cells >= 3) or abs(cells - 3) < 1e-6
+        if grid.usable:
+            chunks = grid.pairs(probes, pts, space, region, keys_per_chunk=7 * 3**space.n)
+            i, j, d = map(np.concatenate, zip(*chunks))
+            assert (d == brute[i, j]).all()
+            blocked = np.bincount(i[d < excl], minlength=len(probes)) > 0
+            assert (blocked == (brute.min(axis=1) < excl)).all()
+
+        for config in (pts, np.concatenate([pts, partners])):
+            all_pairs = distance_batch(config[:, None, :], config[None], space, region)
+            exact = all_pairs[np.triu_indices(len(config), 1)].min(initial=math.inf)
+            conf = Configuration(config, ModelParams(space, region, 1.0))
+            if exact >= excl:
+                assert conf.validate() == exact
+            else:
+                with pytest.raises(ComputationError):
+                    conf.validate()
+
+    def test_validate_in_row_chunks(self):
+        # at n = 6 a chunk holds 2^15 // 3^6 = 44 query rows, so validation
+        # of the configuration below runs through many chunks
+        space = SpaceParams.create(1.5, (0, 3, 6))
+        excl = 2.0 * space.r_unit
+        region = TorusRegion(4.0 * excl)
+        pts, _ = self._hard_core_points(space, region, excl, np.random.default_rng(9), tries=1500)
+        assert _CellGrid(space, region, excl).pays(len(pts)) and len(pts) > 10 * 44
+        assert Configuration(pts, ModelParams(space, region, 1.0)).validate() == min_pairwise(pts, space, region)
+
+    def test_high_dimensional_torus_chain_builds_no_neighbour_table(self):
+        # 3^20 neighbour offsets would not fit in memory; below that many
+        # centres the chain must screen all pairs without building them
+        space = SpaceParams.create(1.5, (0, 10, 20))
+        region = TorusRegion(3.5 * 2 * space.r_unit)
+        params = ModelParams(space, region, 1.0)
+        grid = _CellGrid(space, region, params.exclusion)
+        assert grid.usable and not grid.pays(10**9)
+        assert "offsets" not in vars(grid)
+        est = run_chain(params, 400, 100, 5, validate_every=50, collect_trace=True)
+        assert est.final_count > 100
+        assert est.final_configuration.validate() >= params.exclusion
+        assert (est.trace["fv_probe_hits"][est.trace["fv_probe_hits"] >= 0] > 0).all()
+
+    # SHA-256 of the trace arrays and summary as produced by all-pairs
+    # probe screens and validation; the cell grid must match bit for bit
+    GOLDEN = [
+        ((1.5, (0, 1, 2)), "torus", 30, 5.0, 8000, 1000, 21,
+         {"validate_every": 200, "cell_list_min": 100},
+         "13e35df98e613c8fcb2a09a53651f7a913854c3f0e18f3e97be6c6fb919911e9"),
+        ((1.2, (0, 1, 3)), "torus", 10, 4.0, 8000, 1000, 22, {"validate_every": 300},
+         "e2614b71f8fcc058abab1b8351147fa5ca0ac9f9c615fbb51a6dd1b612835d13"),
+        ((1.3, (0, 1)), "ball", 40, 2.0, 6000, 500, 23, {"validate_every": 100},
+         "2e6f72844dc248a5822d2f54dd0b3b80c8f8e328e7d08dc716bc7da22d141f87"),
+    ]
+
+    @pytest.mark.parametrize("case", GOLDEN, ids=["torus-2d", "torus-3d", "ball-1d"])
+    def test_trajectory_golden(self, case):
+        (p, cuts), kind, size, lam, steps, burn, seed, kwargs, digest = case
+        space = SpaceParams.create(p, cuts)
+        region = (TorusRegion if kind == "torus" else SuperballRegion)(size * space.r_unit)
+        est = run_chain(ModelParams(space, region, lam), steps, burn, seed,
+                        collect_trace=True, **kwargs)
+        assert _trace_digest(est) == digest
 
 
 class TestAlphaCurve:
