@@ -22,7 +22,6 @@ import concurrent.futures
 import json
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -39,6 +38,7 @@ from .lattice_graph import (
     local_sparsity_stats,
     save_certificate,
     verify_packing,
+    write_text,
 )
 from .thermo import entropy_estimate, pressure_estimate
 
@@ -62,26 +62,13 @@ def _resolve_out(path: str | None) -> str | None:
     return path
 
 
-def _write_text(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
+def _emit(payload: dict | str, out: str | None) -> None:
+    if isinstance(payload, dict):
+        payload = json.dumps(payload, indent=1, sort_keys=True) + "\n"
     if out:
-        _write_text(out, text)
+        write_text(out, payload)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(payload)
 
 
 def _space(args) -> SpaceParams:
@@ -119,12 +106,7 @@ def cmd_constants(args) -> int:
             lines.append(
                 f"{row['n']:>4} {row['bound']!r:>24} {row['fugacity_threshold']!r:>24}"
             )
-        text = "\n".join(lines) + "\n"
-        out = _resolve_out(args.out)
-        if out:
-            _write_text(out, text)
-        else:
-            sys.stdout.write(text)
+        _emit("\n".join(lines) + "\n", _resolve_out(args.out))
     return 0
 
 
@@ -198,10 +180,10 @@ def cmd_simulate(args) -> int:
         base, ext = os.path.splitext(out)
         ext = ext or ".csv"
         if args.replicas == 1:
-            _write_text(base + ext, _trace_csv(estimates[0], config_line))
+            write_text(base + ext, _trace_csv(estimates[0], config_line))
         else:
             for i, est in enumerate(estimates):
-                _write_text(f"{base}.r{i}{ext}", _trace_csv(est, config_line))
+                write_text(f"{base}.r{i}{ext}", _trace_csv(est, config_line))
 
     merged = estimates[0] if args.replicas == 1 else merge_estimates(estimates)
     summary = {"config": conf, "estimate": merged.to_json(), "replica_seeds": seeds}
@@ -343,6 +325,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name, least in (("seed", 0), ("mc", 0), ("replicas", 1)):
+            if getattr(args, name, least) < least:
+                raise InputError(f"--{name} must be an integer >= {least}, got {getattr(args, name)}")
         return args.func(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -48,6 +48,7 @@ __all__ = [
     "Configuration",
     "PartitionEstimate",
     "canonical_partition",
+    "packing_hits",
     "GrandPartition",
     "grand_partition",
     "exact_moments",
@@ -207,27 +208,32 @@ def _quadrature(t: int, params: ModelParams, points_per_axis: int | None) -> flo
     return w**t * ordered / math.factorial(t)
 
 
-def _mc_partition(t, params, samples, seed):
+def packing_hits(params: ModelParams, t: int, samples: int, rng) -> int:
+    """How many of ``samples`` draws of t uniform points form a packing.
+
+    Every pair of a configuration must be at least the exclusion apart
+    (min-image on a torus). The expected fraction is Zhat(t) t! / V^t.
+    Configurations are drawn in chunks, each one ``region.sample`` call
+    of chunk * t points; t <= 1 always packs and draws nothing.
+    """
+    if t <= 1:
+        return samples
     space, region = params.space, params.region
-    excl = params.exclusion
-    rng = np.random.default_rng(seed)
-    iu = np.triu_indices(t, 1)
+    chunk = max(1, min(samples, 4_000_000 // (t * space.n)))
     hits = 0
-    done = 0
-    chunk = max(1, min(samples, 200_000 // max(1, t * t)))
-    torus = isinstance(region, TorusRegion)
-    while done < samples:
+    for done in range(0, samples, chunk):
         m = min(chunk, samples - done)
         X = region.sample(space, rng, m * t).reshape(m, t, space.n)
-        d = X[:, :, None, :] - X[:, None, :, :]
-        if torus:
-            d -= region.side * np.round(d / region.side)
-        dn = norm_batch(d, space)
-        hits += int((dn[:, iu[0], iu[1]] >= excl).all(axis=1).sum())
-        done += m
-    phat = hits / samples
-    V = params.volume
-    scale = math.exp(t * math.log(V) - math.lgamma(t + 1))
+        ok = np.ones(m, dtype=bool)
+        for i, j in itertools.combinations(range(t), 2):
+            ok &= distance_batch(X[:, i], X[:, j], space, region) >= params.exclusion
+        hits += int(ok.sum())
+    return hits
+
+
+def _mc_partition(t, params, samples, seed):
+    phat = packing_hits(params, t, samples, np.random.default_rng(seed)) / samples
+    scale = math.exp(t * math.log(params.volume) - math.lgamma(t + 1))
     return phat * scale, scale * math.sqrt(phat * (1.0 - phat) / samples)
 
 
@@ -448,9 +454,7 @@ def _batch_var_se(series: np.ndarray, nbatch: int = 32) -> float:
 
 
 def _sample_one(region, space, rng):
-    if isinstance(region, TorusRegion):
-        return rng.random(space.n) * region.side
-    if space.n == 1:  # the bounding interval is the ball
+    if space.n == 1 and isinstance(region, SuperballRegion):  # the interval is the ball
         return rng.uniform(-region.radius, region.radius, 1)
     return region.sample(space, rng, 1)[0]
 

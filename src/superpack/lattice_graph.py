@@ -51,6 +51,7 @@ __all__ = [
     "emit_packing",
     "verify_packing",
     "save_certificate",
+    "write_text",
     "load_certificate",
 ]
 
@@ -126,18 +127,23 @@ class Lattice:
         """Row index of the cube holding each point, -1 when none does."""
         points = np.atleast_2d(points)
         idx = np.floor(points / self.params.eps).astype(np.int64)
-        codes, rows, lo, dims = self.cube_codes()
-        shifted = idx - lo
-        in_box = ((shifted >= 0) & (shifted < dims)).all(axis=1)
         out = np.full(len(points), -1, dtype=np.int64)
-        if in_box.any():
-            cand = np.ravel_multi_index(shifted[in_box].T, dims)
-            pos = np.searchsorted(codes, cand)
-            pos = np.clip(pos, 0, len(codes) - 1)
-            hit = codes[pos] == cand
-            found = np.where(in_box)[0][hit]
-            out[found] = rows[pos[hit]]
+        found, rows = _lookup(idx, *self.cube_codes())
+        out[found] = rows
         return out
+
+
+def _lookup(idx, codes, rows, lo, dims) -> tuple[np.ndarray, np.ndarray]:
+    """Which rows of ``idx`` name a listed cube, and that cube's lattice row.
+
+    ``codes, rows, lo, dims`` come from ``Lattice.cube_codes``.
+    """
+    shifted = idx - lo
+    in_box = np.flatnonzero(((shifted >= 0) & (shifted < dims)).all(axis=1))
+    cand = np.ravel_multi_index(shifted[in_box].T, dims)
+    pos = np.clip(np.searchsorted(codes, cand), 0, len(codes) - 1)
+    hit = codes[pos] == cand
+    return in_box[hit], rows[pos[hit]]
 
 
 def _worst_corner(indices: np.ndarray, eps: float) -> np.ndarray:
@@ -229,11 +235,7 @@ class GeoGraph:
         ) ** params.space.n
 
 
-def build_graph(
-    lattice: Lattice,
-    representative_rule: str = "center",
-    radius: float | None = None,
-) -> GeoGraph:
+def build_graph(lattice: Lattice, radius: float | None = None) -> GeoGraph:
     """Join representatives closer than 2 * radius (strict).
 
     All representatives sit on one translated grid, so the candidate
@@ -241,8 +243,6 @@ def build_graph(
     each candidate pair still gets an exact distance test. The edge
     list is capped at MAX_EDGES; denser graphs need a larger eps.
     """
-    if representative_rule != "center":
-        raise InputError(f"unknown representative rule {representative_rule!r}")
     params = lattice.params
     space = params.space
     eps = params.eps
@@ -278,16 +278,7 @@ def build_graph(
     dsts = []
     total = 0
     for delta in deltas:
-        shifted = lattice.indices + delta
-        in_box = ((shifted >= lo) & (shifted - lo < dims)).all(axis=1)
-        if not in_box.any():
-            continue
-        cand = np.ravel_multi_index((shifted[in_box] - lo).T, dims)
-        pos = np.searchsorted(codes, cand)
-        pos = np.clip(pos, 0, len(codes) - 1)
-        hit = codes[pos] == cand
-        i = np.where(in_box)[0][hit].astype(np.int64)
-        j = rows[pos[hit]]
+        i, j = _lookup(lattice.indices + delta, codes, rows, lo, dims)
         keep = norm_batch(reps[i] - reps[j], space) < threshold
         i, j = i[keep], j[keep]
         total += len(i)
@@ -502,22 +493,27 @@ def load_certificate(path) -> PackingCertificate:
     return _certificate_from_dict(data)
 
 
-def save_certificate(cert: PackingCertificate, path, meta: dict | None = None) -> None:
-    """Atomic write; optional _meta block is ignored by verification."""
-    payload = cert.to_json()
-    if meta:
-        payload["_meta"] = meta
+def write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` atomically, creating missing directories."""
     directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def save_certificate(cert: PackingCertificate, path, meta: dict | None = None) -> None:
+    """Atomic write; optional _meta block is ignored by verification."""
+    payload = cert.to_json()
+    if meta:
+        payload["_meta"] = meta
+    write_text(path, json.dumps(payload, indent=1, sort_keys=True) + "\n")
 
 
 def verify_packing(cert) -> tuple[bool, float]:

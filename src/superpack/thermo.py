@@ -32,8 +32,7 @@ import numpy as np
 
 from .constants import ConstantChain, compute_constant_chain
 from .errors import ComputationError, InputError
-from .geometry import TorusRegion, norm_batch
-from .gibbs import ModelParams, estimate_alpha_curve
+from .gibbs import ModelParams, estimate_alpha_curve, packing_hits
 
 __all__ = [
     "ThermoResult",
@@ -157,26 +156,6 @@ def pressure_estimate(
     )
 
 
-def _sample_configurations(params: ModelParams, count: int, t: int, rng):
-    pts = params.region.sample(params.space, rng, count * t)
-    return pts.reshape(count, t, params.space.n)
-
-
-def _packing_events(pts: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Which of the (m, t, n) configurations are overlap-free."""
-    space, region = params.space, params.region
-    torus = isinstance(region, TorusRegion)
-    m, t, _ = pts.shape
-    ok = np.ones(m, dtype=bool)
-    for i in range(t - 1):
-        for j in range(i + 1, t):
-            d = pts[:, i, :] - pts[:, j, :]
-            if torus:
-                d -= region.side * np.round(d / region.side)
-            ok &= norm_batch(d, space) >= params.exclusion
-    return ok
-
-
 def entropy_estimate(
     params: ModelParams, t: int, samples: int, seed: int = 0
 ) -> ThermoResult:
@@ -193,18 +172,7 @@ def entropy_estimate(
         raise InputError(f"t must be a positive integer, got {t}")
     if not (isinstance(samples, (int, np.integer)) and samples >= 1):
         raise InputError(f"samples must be a positive integer, got {samples}")
-    rng = np.random.default_rng(seed)
-    successes = 0
-    done = 0
-    chunk = max(1, min(int(samples), 4_000_000 // max(1, t * params.space.n)))
-    while done < samples:
-        m = min(chunk, samples - done)
-        if t == 1:
-            successes += m
-        else:
-            pts = _sample_configurations(params, m, t, rng)
-            successes += int(_packing_events(pts, params).sum())
-        done += m
+    successes = packing_hits(params, int(t), int(samples), np.random.default_rng(seed))
 
     V = params.volume
     common = dict(

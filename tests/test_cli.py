@@ -165,6 +165,13 @@ class TestPackVerify:
     def test_verify_missing_file_exits_2(self, tmp_path):
         assert main(["verify", "--in", str(tmp_path / "nope.json")]) == 2
 
+    def test_out_creates_missing_directories(self, tmp_path, capsys):
+        cert = tmp_path / "new" / "dir" / "cert.json"
+        assert main(self.PACK + ["--out", str(cert)]) == 0
+        code, report = run_json(capsys, ["verify", "--in", str(cert)])
+        assert code == 0
+        assert report["valid"] is True
+
     def test_out_dir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SUPERPACK_OUT", str(tmp_path))
         assert main(self.PACK + ["--out", "env_cert.json"]) == 0
@@ -207,3 +214,23 @@ class TestThermo:
         assert code == 0
         assert data["result"]["kind"] == "pressure"
         assert data["result"]["value"] >= 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        TestSimulate.ARGS + ["--seed", "-1"],
+        TestSimulate.ARGS + ["--replicas", "-1"],
+        TestThermo.BASE + ["--count", "2", "--samples", "100", "--seed", "-1"],
+        ["thermo", "pressure", "--p", "2", "--cuts", "0,1", "--size", "10",
+         "--grid", "2", "--steps", "100", "--seed", "-1"],
+        ["volume", "--p", "1.5", "--cuts", "0,1,2", "--mc", "100", "--seed", "-1"],
+        ["volume", "--p", "1.5", "--cuts", "0,1,2", "--mc", "-5"],
+    ],
+    ids=["simulate-seed", "simulate-replicas", "entropy-seed", "pressure-seed", "volume-seed", "volume-mc"],
+)
+def test_negative_counts_and_seeds_exit_2(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: --")

@@ -199,11 +199,6 @@ class TestBuildGraph:
             for u in row:
                 assert v in g.neighbor_row(int(u))
 
-    def test_unknown_representative_rule(self):
-        lat = build_lattice(1.0, 0.25, LINE)
-        with pytest.raises(InputError):
-            build_graph(lat, representative_rule="corner")
-
     def test_bad_radius(self):
         lat = build_lattice(1.0, 0.25, LINE)
         with pytest.raises(InputError):

@@ -9,7 +9,7 @@ import pytest
 
 from superpack.errors import ComputationError, InputError
 from superpack.geometry import SpaceParams, SuperballRegion, TorusRegion
-from superpack.gibbs import ModelParams, grand_partition
+from superpack.gibbs import ModelParams, canonical_partition, grand_partition, packing_hits
 from superpack.thermo import (
     ThermoResult,
     entropy_estimate,
@@ -131,6 +131,10 @@ class TestEntropyEstimate:
         assert res.value == 0.0
         assert res.se == 0.0
         assert res.successes == 100
+        rng = np.random.default_rng(4)
+        state = rng.bit_generator.state
+        assert [packing_hits(params, t, 100, rng) for t in (0, 1)] == [100, 100]
+        assert rng.bit_generator.state == state  # nothing drawn
 
     def test_hard_rod_oracle_interval(self):
         # L=10, t=3: P = Zhat(3) 3! / L^3 with Zhat(3) = 8^3/6
@@ -171,6 +175,17 @@ class TestEntropyEstimate:
         res = entropy_estimate(params, 7, 2_000, seed=5)
         assert 0 < res.successes < 10
         assert "unreliable" in res.note
+
+    @pytest.mark.parametrize("region", [TorusRegion(6.0), SuperballRegion(3.0)], ids=["torus", "ball"])
+    def test_one_packing_estimator(self, region):
+        # entropy and the MC canonical weight read the same hit count
+        params = ModelParams(SpaceParams.create(1.5, (0, 1, 2)), region, 1.0)
+        t, N, seed = 3, 20_000, 8
+        hits = packing_hits(params, t, N, np.random.default_rng(seed))
+        assert 0 < hits < N
+        assert entropy_estimate(params, t, N, seed=seed).successes == hits
+        scale = math.exp(t * math.log(params.volume) - math.lgamma(t + 1))
+        assert canonical_partition(t, params, "mc", mc_samples=N, seed=seed).value == hits / N * scale
 
     def test_deterministic_in_seed(self):
         params = rods_on_ring(10.0, fugacity=1.0)
