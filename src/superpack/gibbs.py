@@ -22,7 +22,6 @@ its standard error.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import warnings
@@ -38,6 +37,7 @@ from .geometry import (
     SpaceParams,
     SuperballRegion,
     TorusRegion,
+    _CellGrid,
     distance_batch,
     min_pairwise,
     norm_batch,
@@ -119,22 +119,13 @@ class Configuration:
         """Recheck the hard-core and membership invariants exactly.
 
         Returns the minimum pairwise distance (inf for t < 2); raises
-        ComputationError on any violation. Pairs come from the cell grid
-        first; its minimum is exact once it is at most the cell side,
-        since every pair that close is a candidate. Otherwise, and when
-        the region is too small to subdivide, all pairs are checked.
+        ComputationError on any violation.
         """
         C = np.asarray(self.centers, dtype=np.float64).reshape(-1, self.params.space.n)
         space, region = self.params.space, self.params.region
         if len(C) and not region.contains_points(C, space).all():
             raise ComputationError("configuration has a center outside the region")
-        grid = _CellGrid(space, region, self.params.exclusion)
-        dmin = math.inf
-        if grid.pays(len(C)):
-            for i, j, d in grid.pairs(C, C, space, region):
-                dmin = min(dmin, float(d[i < j].min(initial=math.inf)))
-        if not dmin <= grid.h * (1.0 - _GRID_SLACK):
-            dmin = min_pairwise(C, space, region)
+        dmin = min_pairwise(C, space, region)
         if dmin < self.params.exclusion:
             raise ComputationError(
                 f"hard-core violation: pair at distance {dmin} < {self.params.exclusion}"
@@ -232,6 +223,8 @@ def packing_hits(params: ModelParams, t: int, samples: int, rng) -> int:
 
 
 def _mc_partition(t, params, samples, seed):
+    if not (isinstance(samples, (int, np.integer)) and samples >= 1):
+        raise InputError(f"mc_samples must be a positive integer, got {samples}")
     phat = packing_hits(params, t, samples, np.random.default_rng(seed)) / samples
     scale = math.exp(t * math.log(params.volume) - math.lgamma(t + 1))
     return phat * scale, scale * math.sqrt(phat * (1.0 - phat) / samples)
@@ -459,82 +452,6 @@ def _sample_one(region, space, rng):
     return region.sample(space, rng, 1)[0]
 
 
-# relative margin between the cell side and the distances the grid must
-# catch; it covers rounding in the cell coordinates (about ncell ulps)
-_GRID_SLACK = 1e-9
-
-
-class _CellGrid:
-    """Uniform grid over the region's bounding box, cell side h >= exclusion.
-
-    A pair within h of each other on every axis sits in the same or an
-    adjacent cell per axis (cyclically on a torus). Since |u_i - v_i| <=
-    |u - v| for the block norm, that covers every pair at distance up to
-    h, in particular every conflicting pair. With fewer than 3 cells per
-    axis every cell is adjacent to every other and the grid is unusable.
-    """
-
-    def __init__(self, space, region, exclusion):
-        self.torus = isinstance(region, TorusRegion)
-        if self.torus:
-            self.lo, span = 0.0, region.side
-        else:
-            self.lo, span = -region.radius, 2.0 * region.radius
-        self.ncell = max(1, int(span / (exclusion * (1.0 + _GRID_SLACK))))
-        self.h = span / self.ncell
-        self.n = space.n
-        self.weights = self.ncell ** np.arange(space.n, dtype=np.int64)
-
-    @functools.cached_property
-    def offsets(self):
-        # 3^n rows: built on first use only, after pays() has bounded n
-        return np.array(list(itertools.product((-1, 0, 1), repeat=self.n)), dtype=np.int64)
-
-    @property
-    def usable(self) -> bool:
-        return self.ncell >= 3
-
-    def pays(self, t: int) -> bool:
-        """Whether enumerating pairs against t centres beats all pairs.
-
-        The enumeration's fixed cost equals all pairs against 30-130
-        centres (n <= 4, 64 query rows, measured), and each query row
-        looks up 3^n cells, so t must reach both 64 and 3^n.
-        """
-        return self.usable and t >= max(64, 3**self.n)
-
-    def coords(self, X):
-        c = ((X - self.lo) / self.h).astype(np.int64)
-        np.minimum(c, self.ncell - 1, out=c)
-        return np.maximum(c, 0, out=c)
-
-    def pairs(self, A, B, space, region, keys_per_chunk=2**15):
-        """Candidate pairs (i, j, |A[i] - B[j]|) from the 3^n neighbour cells.
-
-        The centres B are sorted by cell id once; rows of A look up their
-        neighbour cells with searchsorted, keys_per_chunk // 3^n rows at a
-        time, and each chunk's pairs are yielded. Cell ids may wrap in
-        int64 on huge grids; a collision only adds candidates.
-        """
-        ids = self.coords(B) @ self.weights
-        order = np.argsort(ids, kind="stable")
-        ids = ids[order]
-        rows = max(1, keys_per_chunk // len(self.offsets))
-        for start in range(0, len(A), rows):
-            near = self.coords(A[start : start + rows])[:, None, :] + self.offsets
-            if self.torus:
-                near %= self.ncell
-            keys = near @ self.weights
-            first = np.searchsorted(ids, keys, "left").ravel()
-            counts = np.searchsorted(ids, keys, "right").ravel() - first
-            if not self.torus:  # neighbours off the grid hold nothing
-                counts[((near < 0) | (near >= self.ncell)).any(axis=-1).ravel()] = 0
-            ends = np.cumsum(counts)
-            j = order[np.arange(ends[-1]) + np.repeat(first - (ends - counts), counts)]
-            i = start + np.repeat(np.arange(len(near)), counts.reshape(len(near), -1).sum(axis=1))
-            yield i, j, distance_batch(A[i], B[j], space, region)
-
-
 class _CellIndex(_CellGrid):
     """Incremental cell list on a _CellGrid for single insertions.
 
@@ -612,9 +529,10 @@ def run_chain(
     (0 disables) and always at the end. The insertion screen goes
     through a uniform-grid cell list once the population reaches
     ``cell_list_min``. A probe is free when no center lies within the
-    exclusion distance; probes and validation take their candidate
-    pairs from the same grid, in vectorised row chunks, once the centers
-    outnumber 64 and the 3^n neighbour cells. Cell pruning is exact
+    exclusion distance; probes take their candidate pairs from a cell
+    grid, in vectorised row chunks, once the centers outnumber 64 and the
+    3^n neighbour cells, and validation goes through
+    ``geometry.min_pairwise``. Cell pruning is exact
     (coordinatewise monotonicity of the norm) and no screen draws
     random numbers, so the trajectory does not depend on which screen
     ran.

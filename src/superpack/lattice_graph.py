@@ -522,7 +522,8 @@ def verify_packing(cert) -> tuple[bool, float]:
     Accepts a PackingCertificate, a dict, or a path to a JSON file.
     Returns (valid, recomputed minimum pairwise distance); validity
     means every pairwise distance is at least 2 * radius and every
-    center lies in the ball of radius R.
+    center lies in the ball of radius R. A radius or R that is not
+    positive and finite, or a non-finite center, raises InputError.
     """
     if isinstance(cert, (str, os.PathLike)):
         cert = load_certificate(cert)
@@ -531,6 +532,8 @@ def verify_packing(cert) -> tuple[bool, float]:
     elif not isinstance(cert, PackingCertificate):
         raise InputError(f"cannot verify {type(cert).__name__}")
     centers = np.atleast_2d(cert.centers)
+    if not (0 < cert.radius < math.inf and 0 < cert.R < math.inf and np.isfinite(centers).all()):
+        raise InputError("certificate radius and R must be positive and finite, centers finite")
     min_d = min_pairwise(centers, cert.space)
     inside = bool((norm_batch(centers, cert.space) <= cert.R).all())
     return (inside and min_d >= 2.0 * cert.radius), min_d

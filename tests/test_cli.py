@@ -162,6 +162,18 @@ class TestPackVerify:
         assert code == 4
         assert report["valid"] is False
 
+    @pytest.mark.parametrize("field, value", [("radius", -0.6), ("R", float("inf")), ("centers", float("nan"))])
+    def test_malformed_certificate_exits_2(self, field, value, tmp_path):
+        cert = tmp_path / "cert.json"
+        main(self.PACK + ["--out", str(cert)])
+        payload = json.loads(cert.read_text())
+        if field == "centers":
+            payload["centers"][0][0] = value
+        else:
+            payload[field] = value
+        cert.write_text(json.dumps(payload))
+        assert main(["verify", "--in", str(cert)]) == 2
+
     def test_verify_missing_file_exits_2(self, tmp_path):
         assert main(["verify", "--in", str(tmp_path / "nope.json")]) == 2
 

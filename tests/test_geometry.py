@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -7,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
+import superpack.geometry as geometry
 from superpack.errors import InputError
 from superpack.geometry import (
     BlockSpec,
@@ -15,6 +17,8 @@ from superpack.geometry import (
     TorusRegion,
     contains,
     distance,
+    distance_batch,
+    min_pairwise,
     norm,
     norm_batch,
     r_unit,
@@ -141,6 +145,79 @@ class TestDistance:
         assert distance(x, z, space, region) <= (
             distance(x, y, space, region) + distance(y, z, space, region) + 1e-9
         )
+
+
+def _all_pairs_min(centers, space, region):
+    # oracle: the full distance matrix, no screening
+    d = distance_batch(centers[:, None, :], centers[None], space, region)
+    return d[np.triu_indices(len(centers), 1)].min(initial=math.inf)
+
+
+class TestMinPairwise:
+    """The cell-grid screen returns the all-pairs minimum bit for bit."""
+
+    @given(spaces(max_n=4), st.booleans(), st.sampled_from(["cloud", "line", "plane", "lattice"]),
+           st.sampled_from(["none", "duplicate", "axis-tie", "close"]), st.sampled_from([-1, 1, 40]),
+           st.integers(0, 2**32 - 1))
+    def test_matches_all_pairs(self, space, torus, shape, extra, dt, seed):
+        n, L = space.n, 7.0
+        t = max(64, 3**n) + dt  # just below, just above and well above the grid threshold
+        region = TorusRegion(L) if torus else None
+        rng = np.random.default_rng(seed)
+        if shape == "lattice":
+            # its minimum sits near the first cell side, so the grid doubles
+            # its cells or falls back to all pairs
+            k = math.ceil(t ** (1 / n) - 1e-9)
+            pts = np.array(list(itertools.product(range(k), repeat=n))[:t]) * (L / k)
+            pts += rng.uniform(0, 1e-6, pts.shape)
+        else:
+            pts = rng.random((t, n)) * L
+            free_axes = {"cloud": n, "line": 1, "plane": 2}[shape]
+            pts[:, free_axes:] = pts[0, free_axes:]  # the other axes have zero span
+        i, j = rng.choice(t, 2, replace=False)
+        if extra == "duplicate":
+            pts[j] = pts[i]
+        elif extra == "axis-tie":  # a partner at the minimum distance along an axis
+            pts[j] = pts[i]
+            pts[j, rng.integers(n)] += _all_pairs_min(pts[np.arange(t) != j], space, region)
+        elif extra == "close":  # one pair far closer than the typical spacing
+            pts[j] = pts[i] + rng.uniform(-1e-3, 1e-3, n)
+        if torus:
+            pts %= L
+        assert min_pairwise(pts, space, region) == _all_pairs_min(pts, space, region)
+
+    @pytest.mark.parametrize("n, k, rounds", [(2, 12, [11, 5]), (3, 4, [3])])
+    def test_lattice_doubles_then_falls_back(self, n, k, rounds, monkeypatch):
+        # a k^n lattice of spacing 1/2 has its minimum at the first cell
+        # side, just outside the exact range: at n = 2 the side doubles
+        # once, at n = 3 no usable grid is left and all pairs are checked
+        space = SpaceParams.create(1.5, tuple(range(n + 1)))
+        pts = 0.5 * np.array(list(itertools.product(range(k), repeat=n)), dtype=float)
+        seen = []
+        pairs = geometry._CellGrid.pairs
+        monkeypatch.setattr(geometry._CellGrid, "pairs",
+                            lambda grid, *a, **kw: seen.append(grid.ncell) or pairs(grid, *a, **kw))
+        assert min_pairwise(pts, space) == _all_pairs_min(pts, space, None)
+        assert seen == rounds
+
+    def test_candidate_minimum_beyond_the_cell_side_is_not_trusted(self):
+        # l1 norm, a jittered D_2 lattice stretched by 1.05 along y: the
+        # closest pair lies along x, 2 apart, beyond the first cell side,
+        # and for some seeds in cells two apart, where the first grid
+        # misses it
+        space = SpaceParams.create(1.0, (0, 1, 2))
+        z = np.array([v for v in itertools.product(range(16), repeat=2) if sum(v) % 2 == 0])
+        for seed in range(10):
+            pts = z * [1.0, 1.05] + np.random.default_rng(seed).uniform(0, 1e-6, z.shape)
+            assert min_pairwise(pts, space) == _all_pairs_min(pts, space, None)
+
+    @pytest.mark.parametrize("region", [None, TorusRegion(3.0)])
+    def test_high_dimension_builds_no_neighbour_table(self, region, monkeypatch):
+        # 3^20 neighbour offsets would not fit in memory
+        space = SpaceParams.create(1.5, (0, 10, 20))
+        pts = np.random.default_rng(4).random((300, 20)) * 3.0
+        monkeypatch.setattr(geometry._CellGrid, "offsets", property(lambda grid: pytest.fail("built")))
+        assert min_pairwise(pts, space, region) == _all_pairs_min(pts, space, region)
 
 
 class TestVolume:

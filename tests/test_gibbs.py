@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import spaces
 from superpack.errors import ComputationError, InputError
-from superpack.geometry import SpaceParams, SuperballRegion, TorusRegion, distance_batch, min_pairwise
+from superpack.geometry import SpaceParams, SuperballRegion, TorusRegion, _CellGrid, distance_batch
 from superpack.gibbs import (
-    _CellGrid,
     Configuration,
     ModelParams,
     canonical_partition,
@@ -100,6 +99,12 @@ class TestCanonicalPartition:
             canonical_partition(-1, ring(20.0, 1.0))
         with pytest.raises(InputError):
             canonical_partition(2, ring(20.0, 1.0), "nonsense")
+
+    @pytest.mark.parametrize("t", [0, 2])
+    @pytest.mark.parametrize("samples", [0, -5, 2.5])
+    def test_rejects_bad_mc_samples(self, t, samples):
+        with pytest.raises(InputError):
+            canonical_partition(t, ring(20.0, 1.0), "mc", mc_samples=samples)
 
 
 class TestGrandPartition:
@@ -352,7 +357,9 @@ class TestCellGridScreen:
         region = TorusRegion(4.0 * excl)
         pts, _ = self._hard_core_points(space, region, excl, np.random.default_rng(9), tries=1500)
         assert _CellGrid(space, region, excl).pays(len(pts)) and len(pts) > 10 * 44
-        assert Configuration(pts, ModelParams(space, region, 1.0)).validate() == min_pairwise(pts, space, region)
+        all_pairs = distance_batch(pts[:, None, :], pts[None], space, region)
+        exact = all_pairs[np.triu_indices(len(pts), 1)].min()
+        assert Configuration(pts, ModelParams(space, region, 1.0)).validate() == exact
 
     def test_high_dimensional_torus_chain_builds_no_neighbour_table(self):
         # 3^20 neighbour offsets would not fit in memory; below that many

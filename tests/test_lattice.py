@@ -1,5 +1,7 @@
 """Lattice construction, proximity graph, greedy packing, certificates."""
 
+import dataclasses
+import hashlib
 import json
 
 import jsonschema
@@ -7,6 +9,7 @@ import numpy as np
 import pytest
 
 import superpack.lattice_graph as lg
+from superpack.cli import main
 from superpack.constants import compute_constant_chain
 from superpack.errors import ComputationError, InputError
 from superpack.geometry import SpaceParams, norm_batch
@@ -426,6 +429,24 @@ class TestCertificates:
         with pytest.raises(InputError):
             verify_packing(42)
 
+    @pytest.mark.parametrize("field, value", [
+        ("radius", -0.6), ("radius", 0.0), ("radius", float("nan")), ("R", 0.0),
+        ("R", float("inf")), ("centers", float("nan")), ("centers", float("-inf")),
+    ])
+    def test_malformed_sizes_and_centers(self, field, value, tmp_path):
+        _, cert = self.packed()
+        if field == "centers":
+            centers = cert.centers.copy()
+            centers[0, 1] = value
+            bad = dataclasses.replace(cert, centers=centers)
+        else:
+            bad = dataclasses.replace(cert, **{field: value})
+        path = tmp_path / "cert.json"
+        save_certificate(bad, path)
+        for form in (bad, bad.to_json(), path):
+            with pytest.raises(InputError):
+                verify_packing(form)
+
     def test_schema_validation(self, tmp_path):
         import pathlib
 
@@ -440,3 +461,30 @@ class TestCertificates:
         del payload["density"]
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(payload, schema)
+
+
+class TestPackVerifyGolden:
+    # SHA-256 of the certificate, its summary and the verify report as
+    # produced by all-pairs certificate checks; the pair screen must
+    # reproduce them byte for byte
+    GOLDEN = [
+        (["--p", "1.5", "--cuts", "0,1,2", "--R", "12", "--eps", "0.3"],
+         ("e5a310944dedff709a08eeaf22eb607e4c7fa43fc52698e204dd3a58d49f88ce",
+          "29df703feae0ecd077fea358068a6ca2f8ea4be8a191de9adf8378bb484a6959",
+          "27152bd9115eca39b9195206cce6333d63fc5f388df8515f2a2aae215b914f59")),
+        (["--p", "2", "--cuts", "0,1,2,3", "--R", "6", "--eps", "0.3", "--order", "lex"],
+         ("a7b09d3dddb8e68eea5ad0324fdfa699f90718f708cb5665ac4a65cf5614104b",
+          "a495075565e408bbbe418b3a883160a11af3d7a4d8dc06303e8e305e4a265c68",
+          "e30b4b3d679cfc8348729f45a1bacde703b97eccc84eab0841fc2ad867ccee4f")),
+    ]
+
+    @pytest.mark.parametrize("case", GOLDEN, ids=["plane-p1.5", "space-p2-lex"])
+    def test_outputs_golden(self, case, tmp_path, monkeypatch, capsys):
+        argv, digests = case
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("SUPERPACK_OUT", raising=False)
+        assert main(["pack", *argv, "--out", "cert.json"]) == 0
+        assert main(["verify", "--in", "cert.json", "--out", "verify.json"]) == 0
+        files = ("cert.json", "cert.summary.json", "verify.json")
+        got = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in files)
+        assert got == digests
