@@ -149,17 +149,7 @@ class ConstantChain:
     residual_h: float
 
     def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "q": self.q,
-            "x_p": self.x_p,
-            "eps_p": self.eps_p,
-            "delta_at_eps": self.delta_at_eps,
-            "contraction_margin": self.contraction_margin,
-            "c_prime": self.c_prime,
-            "c_p": self.c_p,
-            "residual_h": self.residual_h,
-        }
+        return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
 
 def compute_constant_chain(p: float) -> ConstantChain:
@@ -288,17 +278,8 @@ def clarkson_residuals(X, Y, space: SpaceParams) -> dict:
 
 def clarkson_check(x, y, space: SpaceParams) -> ClarksonReport:
     r = clarkson_residuals(np.asarray(x)[None, :], np.asarray(y)[None, :], space)
-    return ClarksonReport(
-        p=space.p,
-        direction=r["direction"],
-        r3_lower=float(r["r3_lower"][0]),
-        r3_upper=float(r["r3_upper"][0]),
-        r4=float(r["r4"][0]),
-        r5=float(r["r5"][0]),
-        scale3=float(r["scale3"][0]),
-        scale4=float(r["scale4"][0]),
-        scale5=float(r["scale5"][0]),
-    )
+    direction = r.pop("direction")
+    return ClarksonReport(p=space.p, direction=direction, **{k: float(v[0]) for k, v in r.items()})
 
 
 def uniform_convexity_check(x, y, eps: float, space: SpaceParams) -> bool:

@@ -256,7 +256,8 @@ class _CellGrid:
 
     @cached_property
     def offsets(self):
-        # 3^n rows: built on first use only, after pays() has bounded n
+        # 3^n rows: built on first use only, after pays() or the chain's
+        # region rule has bounded n
         return np.array(list(itertools.product((-1, 0, 1), repeat=self.n)), dtype=np.int64)
 
     @property
@@ -264,7 +265,7 @@ class _CellGrid:
         return self.ncell >= 3
 
     def pays(self, t: int) -> bool:
-        """Whether enumerating pairs against t centres beats all pairs.
+        """Whether ``min_pairwise`` should enumerate pairs of t centres.
 
         The enumeration's fixed cost equals all pairs against 30-130
         centres (n <= 4, 64 query rows, measured), and each query row

@@ -25,7 +25,6 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -408,22 +407,9 @@ class ChainEstimate:
         return self.steps - self.accepted_births - self.accepted_deaths
 
     def to_json(self) -> dict:
-        return {
-            "alpha_hat": self.alpha_hat,
-            "alpha_se": self.alpha_se,
-            "fv_hat": self.fv_hat,
-            "fv_se": self.fv_se,
-            "var_count": self.var_count,
-            "var_count_se": self.var_count_se,
-            "mean_count": self.mean_count,
-            "steps": self.steps,
-            "burn_in": self.burn_in,
-            "accepted_births": self.accepted_births,
-            "accepted_deaths": self.accepted_deaths,
-            "rejections": self.rejections,
-            "seed": self.seed,
-            "final_count": self.final_count,
-        }
+        out = {k: getattr(self, k) for k in self.__dataclass_fields__}
+        del out["trace"], out["final_configuration"]
+        return {**out, "rejections": self.rejections}
 
 
 def _batch_se(series: np.ndarray, nbatch: int = 32) -> float:
@@ -452,51 +438,84 @@ def _sample_one(region, space, rng):
     return region.sample(space, rng, 1)[0]
 
 
-class _CellIndex(_CellGrid):
-    """Incremental cell list on a _CellGrid for single insertions.
+class _CellTable(_CellGrid):
+    """Dense cell list of the chain's centres, kept in step with them.
 
-    Gathered candidates still get the exact distance test. Mirrors the
-    swap-with-last deletion of the caller.
+    ``slots`` holds K centre indices per cell, -1 for an empty slot, and
+    ``nbr`` the slot rows of each cell's 3^n neighbours (cyclic on a
+    torus; a ball's grid gets one layer of always-empty padding cells).
+    ``fill``, ``cell_of`` and ``slot_of`` let ``add`` and the chain's
+    ``remove_swap`` write O(1) entries; K doubles when a cell overflows.
     """
+
+    MIN_CELLS, BUDGET = 64, 2**22  # the region rule, see for_region
 
     def __init__(self, space, region, exclusion):
         super().__init__(space, region, exclusion)
-        self.cells = defaultdict(list)
-        self.key_of = []
-        self.offset_keys = [tuple(o) for o in self.offsets.tolist()]
+        pad = 0 if self.torus else 1
+        side = self.ncell + 2 * pad
+        real = (np.arange(self.ncell**self.n)[:, None] // self.weights) % self.ncell
+        self.nbr = sum((real[:, a, None] + pad + self.offsets[:, a]) % side * side**a for a in range(self.n))
+        self.centre = len(self.offsets) // 2  # the (0, ..., 0) offset
+        self.slots = np.full((side**self.n, 2), -1, dtype=np.int64)
+        self.fill = np.zeros(side**self.n, dtype=np.int64)
+        self.cell_of, self.slot_of = [], []
 
-    def _key(self, y):
-        return tuple(self.coords(y).tolist())
+    @classmethod
+    def for_region(cls, space, region, exclusion):
+        """The table, or None where the chain should screen all pairs.
+
+        The rule looks at the region only: 3 cells per axis, MIN_CELLS
+        cells (fewer hold too few exclusion volumes for the gather to
+        pay) and at most BUDGET neighbour entries, checked before any
+        is built.
+        """
+        grid = _CellGrid(space, region, exclusion)
+        cells = grid.ncell**space.n
+        ok = grid.usable and cls.MIN_CELLS <= cells and cells * 3**space.n <= cls.BUDGET
+        return cls(space, region, exclusion) if ok else None
+
+    def cell(self, y):
+        """``coords(y) @ weights`` for one point, in scalar arithmetic."""
+        k = 0
+        for v, w in zip(y.tolist(), self.weights.tolist()):
+            k += min(max(int((v - self.lo) / self.h), 0), self.ncell - 1) * w
+        return k
 
     def candidates(self, y):
-        key = self._key(y)
-        out = []
-        for off in self.offset_keys:
-            if self.torus:
-                k = tuple((a + b) % self.ncell for a, b in zip(key, off))
-            else:
-                k = tuple(a + b for a, b in zip(key, off))
-                if any(c < 0 or c >= self.ncell for c in k):
-                    continue
-            got = self.cells.get(k)
-            if got:
-                out.extend(got)
-        return out
+        """The centres in the neighbour cells of one point ``y``."""
+        cand = self.slots[self.nbr[self.cell(y)]].ravel()
+        return cand[cand >= 0]
 
-    def add(self, index, y):
-        key = self._key(y)
-        self.cells[key].append(index)
-        self.key_of.append(key)
+    def near(self, P):
+        """(i, j) for every centre j in a neighbour cell of row i of P."""
+        cand = self.slots[self.nbr[self.coords(P) @ self.weights]].reshape(len(P), -1)
+        i, k = np.nonzero(cand >= 0)
+        return i, cand[i, k]
 
-    def remove_swap(self, index, last):
-        """Delete center ``index``; center ``last`` is renamed to ``index``."""
-        self.cells[self.key_of[index]].remove(index)
-        if last != index:
-            key = self.key_of[last]
-            cell = self.cells[key]
-            cell[cell.index(last)] = index
-            self.key_of[index] = key
-        self.key_of.pop()
+    def add(self, y):
+        """File ``y`` as the next centre."""
+        row = int(self.nbr[self.cell(y), self.centre])
+        k = int(self.fill[row])
+        if k == self.slots.shape[1]:
+            self.slots = np.hstack([self.slots, np.full_like(self.slots, -1)])
+        self.slots[row, k] = len(self.cell_of)
+        self.fill[row] += 1
+        self.cell_of.append(row)
+        self.slot_of.append(k)
+
+    def remove_swap(self, index):
+        """Delete centre ``index``; the last centre is renamed to ``index``."""
+        row, k = self.cell_of[index], self.slot_of[index]
+        self.fill[row] -= 1
+        end = int(self.fill[row])
+        moved = self.slots[row, k] = int(self.slots[row, end])  # the row's last entry fills the hole
+        self.slot_of[moved] = k
+        self.slots[row, end] = -1
+        row, k = self.cell_of.pop(), self.slot_of.pop()  # where the last centre sits
+        if index < len(self.cell_of):
+            self.slots[row, k] = index
+            self.cell_of[index], self.slot_of[index] = row, k
 
 
 def run_chain(
@@ -509,7 +528,6 @@ def run_chain(
     fv_stride: int = 8,
     validate_every: int = 4096,
     collect_trace: bool = False,
-    cell_list_min: int = 2048,
 ) -> ChainEstimate:
     """Birth-death Metropolis chain for the hard-core grand ensemble.
 
@@ -526,13 +544,17 @@ def run_chain(
     against all current centers, so the hard-core invariant holds by
     induction after every accepted move; the configuration is
     re-validated from scratch every ``validate_every`` accepted moves
-    (0 disables) and always at the end. The insertion screen goes
-    through a uniform-grid cell list once the population reaches
-    ``cell_list_min``. A probe is free when no center lies within the
-    exclusion distance; probes take their candidate pairs from a cell
-    grid, in vectorised row chunks, once the centers outnumber 64 and the
-    3^n neighbour cells, and validation goes through
-    ``geometry.min_pairwise``. Cell pruning is exact
+    (0 disables) and always at the end, through
+    ``geometry.min_pairwise``. A probe is free when no center lies
+    within the exclusion distance.
+
+    Both screens go through one ``_CellTable``, built at step 0 and
+    kept in step with the centers: an insertion gathers the centers of
+    its 3^n neighbour cells, the probes gather theirs in one batch, and
+    only gathered centers get the exact distance test. Whether the table
+    is built depends on the region alone (``_CellTable.for_region``: 3
+    cells per axis, at least 64 cells, at most 2^22 neighbour entries);
+    otherwise both screens test all pairs. Cell pruning is exact
     (coordinatewise monotonicity of the norm) and no screen draws
     random numbers, so the trajectory does not depend on which screen
     ran.
@@ -545,21 +567,17 @@ def run_chain(
     lamV = params.fugacity * V
     excl = params.exclusion
     rng = np.random.default_rng(seed)
-    grid = _CellGrid(space, region, excl)
+    table = _CellTable.for_region(space, region, excl)
 
-    cap = 64
-    centers = np.empty((cap, n))
+    centers = np.empty((64, n))
     t = 0
     births = 0
     deaths = 0
     accepted_since_check = 0
-    cells = None  # built once the population first reaches cell_list_min
 
     def conflicted(y):
-        if cells is not None:
-            cand = cells.candidates(y)
-            return bool(cand) and bool((distance_batch(centers[cand], y, space, region) < excl).any())
-        return t > 0 and bool((distance_batch(centers[:t], y, space, region) < excl).any())
+        near = centers[:t] if table is None else centers[table.candidates(y)]
+        return len(near) > 0 and bool((distance_batch(near, y, space, region) < excl).any())
 
     recorded = steps - burn_in
     counts = np.empty(recorded, dtype=np.int64)
@@ -578,14 +596,11 @@ def run_chain(
             if not conflicted(y):
                 a = lamV / (t + 1)
                 if a >= 1.0 or rng.random() < a:
-                    if t == cap:
-                        cap *= 2
-                        grown = np.empty((cap, n))
-                        grown[:t] = centers[:t]
-                        centers = grown
+                    if t == len(centers):
+                        centers = np.concatenate([centers, np.empty_like(centers)])
                     centers[t] = y
-                    if cells is not None:
-                        cells.add(t, y)
+                    if table is not None:
+                        table.add(y)
                     t += 1
                     births += 1
                     accepted = True
@@ -594,20 +609,11 @@ def run_chain(
             a = t / lamV
             if a >= 1.0 or rng.random() < a:
                 centers[i] = centers[t - 1]
-                if cells is not None:
-                    cells.remove_swap(i, t - 1)
+                if table is not None:
+                    table.remove_swap(i)
                 t -= 1
                 deaths += 1
                 accepted = True
-
-        if cells is None and t >= cell_list_min:
-            built = _CellIndex(space, region, excl)
-            if built.usable:
-                for j in range(t):
-                    built.add(j, centers[j])
-                cells = built
-            else:
-                cell_list_min = np.inf  # region too small to subdivide
 
         if accepted:
             accepted_since_check += 1
@@ -623,9 +629,10 @@ def run_chain(
                 probes = region.sample(space, rng, fv_probes)
                 if t == 0:
                     free = fv_probes
-                elif grid.pays(t):
-                    hit = [i[d < excl] for i, _, d in grid.pairs(probes, centers[:t], space, region)]
-                    free = fv_probes - len(np.unique(np.concatenate(hit)))
+                elif table is not None:
+                    pi, pj = table.near(probes)
+                    hit = pi[distance_batch(probes[pi], centers[pj], space, region) < excl]
+                    free = fv_probes - len(set(hit.tolist()))
                 else:
                     d = distance_batch(probes[:, None, :], centers[None, :t], space, region)
                     free = int((d.min(axis=1) >= excl).sum())

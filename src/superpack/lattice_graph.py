@@ -56,6 +56,7 @@ __all__ = [
 ]
 
 MAX_EDGES = 10_000_000
+CLAIM_RTOL = 1e-12  # claimed vs recomputed density and minimum distance in verify_packing
 
 
 @dataclass(frozen=True)
@@ -263,15 +264,10 @@ def build_graph(lattice: Lattice, radius: float | None = None) -> GeoGraph:
     axis = np.arange(-dmax, dmax + 1, dtype=np.int64)
     grids = np.meshgrid(*([axis] * space.n), indexing="ij")
     deltas = np.stack([g.ravel() for g in grids], axis=1)
-    close = norm_batch(deltas * eps, space) < threshold * (1.0 + 1e-12)
-    nonzero = (deltas != 0).any(axis=1)
-    lex_pos = np.zeros(len(deltas), dtype=bool)
-    undecided = np.ones(len(deltas), dtype=bool)
-    for d in range(space.n):  # first nonzero coordinate positive
-        col = deltas[:, d]
-        lex_pos |= undecided & (col > 0)
-        undecided &= col == 0
-    deltas = deltas[close & nonzero & lex_pos]
+    # the rows come in lexicographic order, so those past the middle (zero)
+    # row are the offsets whose first nonzero coordinate is positive
+    deltas = deltas[len(deltas) // 2 + 1 :]
+    deltas = deltas[norm_batch(deltas * eps, space) < threshold * (1.0 + 1e-12)]
 
     codes, rows, lo, dims = lattice.cube_codes()
     srcs = []
@@ -429,6 +425,11 @@ class PackingCertificate:
         }
 
 
+def _density(count: int, R: float, space: SpaceParams) -> float:
+    """Centers per unit volume of the ball of radius R."""
+    return count / (R / space.r_unit) ** space.n
+
+
 def emit_packing(graph: GeoGraph, independent_set: np.ndarray) -> PackingCertificate:
     """Certify the independent set as a packing of superballs.
 
@@ -452,14 +453,13 @@ def emit_packing(graph: GeoGraph, independent_set: np.ndarray) -> PackingCertifi
         )
     if not (norm_batch(centers, space) <= params.R).all():
         raise ComputationError("a center escaped the enclosing ball")
-    volume = (params.R / space.r_unit) ** space.n
     return PackingCertificate(
         space=space,
         R=params.R,
         radius=graph.radius,
         centers=centers,
         min_pairwise_distance=min_d,
-        density=len(centers) / volume,
+        density=_density(len(centers), params.R, space),
     )
 
 
@@ -521,9 +521,12 @@ def verify_packing(cert) -> tuple[bool, float]:
 
     Accepts a PackingCertificate, a dict, or a path to a JSON file.
     Returns (valid, recomputed minimum pairwise distance); validity
-    means every pairwise distance is at least 2 * radius and every
-    center lies in the ball of radius R. A radius or R that is not
-    positive and finite, or a non-finite center, raises InputError.
+    means every pairwise distance is at least 2 * radius, every center
+    lies in the ball of radius R, and the claimed minimum distance and
+    density agree with the recomputed ones to CLAIM_RTOL (relative:
+    roundoff of an equivalent formula passes, a false claim does not).
+    A radius or R that is not positive and finite, or a non-finite
+    center, raises InputError.
     """
     if isinstance(cert, (str, os.PathLike)):
         cert = load_certificate(cert)
@@ -536,4 +539,7 @@ def verify_packing(cert) -> tuple[bool, float]:
         raise InputError("certificate radius and R must be positive and finite, centers finite")
     min_d = min_pairwise(centers, cert.space)
     inside = bool((norm_batch(centers, cert.space) <= cert.R).all())
-    return (inside and min_d >= 2.0 * cert.radius), min_d
+    density = _density(len(centers), cert.R, cert.space)
+    claims = (math.isclose(cert.min_pairwise_distance, min_d, rel_tol=CLAIM_RTOL)
+              and math.isclose(cert.density, density, rel_tol=CLAIM_RTOL))
+    return (inside and claims and min_d >= 2.0 * cert.radius), min_d

@@ -162,6 +162,19 @@ class TestPackVerify:
         assert code == 4
         assert report["valid"] is False
 
+    def test_false_density_and_minimum_exit_4(self, tmp_path, capsys):
+        cert = tmp_path / "cert.json"
+        main(self.PACK + ["--out", str(cert)])
+        payload = json.loads(cert.read_text())
+        true_min = payload["min_pairwise_distance"]
+        payload["density"] *= 10
+        payload["min_pairwise_distance"] = 99.0
+        cert.write_text(json.dumps(payload))
+        code, report = run_json(capsys, ["verify", "--in", str(cert)])
+        assert code == 4
+        assert report["valid"] is False
+        assert report["min_pairwise_distance"] == true_min
+
     @pytest.mark.parametrize("field, value", [("radius", -0.6), ("R", float("inf")), ("centers", float("nan"))])
     def test_malformed_certificate_exits_2(self, field, value, tmp_path):
         cert = tmp_path / "cert.json"

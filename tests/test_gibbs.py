@@ -9,7 +9,14 @@ from hypothesis import strategies as st
 
 from conftest import spaces
 from superpack.errors import ComputationError, InputError
-from superpack.geometry import SpaceParams, SuperballRegion, TorusRegion, _CellGrid, distance_batch
+from superpack.geometry import (
+    SpaceParams,
+    SuperballRegion,
+    TorusRegion,
+    _CellGrid,
+    distance_batch,
+    norm_batch,
+)
 from superpack.gibbs import (
     Configuration,
     ModelParams,
@@ -20,6 +27,7 @@ from superpack.gibbs import (
     intersection_volume_check,
     intersection_volume_mc,
     merge_estimates,
+    _CellTable,
     run_chain,
 )
 
@@ -238,19 +246,36 @@ class TestRunChain:
         est = run_chain(ring(20.0, 1.0), steps=3_000, burn_in=0, seed=8, validate_every=1)
         est.final_configuration.validate()
 
-    def test_cell_list_matches_direct(self):
-        params = ring(600.0, 1.0)
-        a = run_chain(params, steps=30_000, burn_in=3_000, seed=9, cell_list_min=128)
-        b = run_chain(params, steps=30_000, burn_in=3_000, seed=9, cell_list_min=10**9)
-        assert a.to_json() == b.to_json()
-        assert a.mean_count > 128  # the threshold was actually crossed
+    @staticmethod
+    def _table_then_all_pairs(monkeypatch, params, *args):
+        # the region rule decides the screen: first let every usable grid
+        # build the table, then let none
+        space, region, excl = params.space, params.region, params.exclusion
+        monkeypatch.setattr(_CellTable, "MIN_CELLS", 0)
+        assert _CellTable.for_region(space, region, excl) is not None
+        a = run_chain(params, *args)
+        monkeypatch.setattr(_CellTable, "BUDGET", 0)
+        assert _CellTable.for_region(space, region, excl) is None
+        return a, run_chain(params, *args)
 
-    def test_cell_list_matches_direct_2d(self):
+    def test_cell_list_matches_direct(self, monkeypatch):
+        a, b = self._table_then_all_pairs(monkeypatch, ring(600.0, 1.0), 30_000, 3_000, 9)
+        assert a.to_json() == b.to_json()
+        assert a.mean_count > 128  # a populated table, not a near-empty one
+
+    def test_cell_list_matches_direct_2d(self, monkeypatch):
         space = SpaceParams.create(1.5, (0, 1, 2))
         params = ModelParams(space, TorusRegion(16 * space.r_unit), 1.0)
-        a = run_chain(params, steps=20_000, burn_in=2_000, seed=11, cell_list_min=8)
-        b = run_chain(params, steps=20_000, burn_in=2_000, seed=11, cell_list_min=10**9)
+        a, b = self._table_then_all_pairs(monkeypatch, params, 20_000, 2_000, 11)
         assert a.to_json() == b.to_json()
+
+    def test_region_rule(self):
+        # the 1D L = 20 chains of acceptance criterion 05 hold too few
+        # cells for the table to pay; the benchmark's chain region does not
+        for region in (TorusRegion(20.0), SuperballRegion(10.0)):
+            assert _CellTable.for_region(LINE, region, 1.0) is None
+        space = SpaceParams.create(1.5, (0, 1, 2))
+        assert _CellTable.for_region(space, TorusRegion(60.0), 2 * space.r_unit) is not None
 
     def test_ball_region_chain(self):
         params = rod_interval(10.0, 1.0)
@@ -361,15 +386,17 @@ class TestCellGridScreen:
         exact = all_pairs[np.triu_indices(len(pts), 1)].min()
         assert Configuration(pts, ModelParams(space, region, 1.0)).validate() == exact
 
-    def test_high_dimensional_torus_chain_builds_no_neighbour_table(self):
-        # 3^20 neighbour offsets would not fit in memory; below that many
-        # centres the chain must screen all pairs without building them
+    def test_high_dimensional_torus_chain_builds_no_neighbour_table(self, monkeypatch):
+        # 3^20 neighbour offsets would not fit in memory; the chain must
+        # screen all pairs without building them or a cell table
         space = SpaceParams.create(1.5, (0, 10, 20))
         region = TorusRegion(3.5 * 2 * space.r_unit)
         params = ModelParams(space, region, 1.0)
         grid = _CellGrid(space, region, params.exclusion)
         assert grid.usable and not grid.pays(10**9)
         assert "offsets" not in vars(grid)
+        monkeypatch.setattr(_CellGrid, "offsets", property(lambda grid: pytest.fail("built")))
+        assert _CellTable.for_region(space, region, params.exclusion) is None
         est = run_chain(params, 400, 100, 5, validate_every=50, collect_trace=True)
         assert est.final_count > 100
         assert est.final_configuration.validate() >= params.exclusion
@@ -379,7 +406,7 @@ class TestCellGridScreen:
     # probe screens and validation; the cell grid must match bit for bit
     GOLDEN = [
         ((1.5, (0, 1, 2)), "torus", 30, 5.0, 8000, 1000, 21,
-         {"validate_every": 200, "cell_list_min": 100},
+         {"validate_every": 200},
          "13e35df98e613c8fcb2a09a53651f7a913854c3f0e18f3e97be6c6fb919911e9"),
         ((1.2, (0, 1, 3)), "torus", 10, 4.0, 8000, 1000, 22, {"validate_every": 300},
          "e2614b71f8fcc058abab1b8351147fa5ca0ac9f9c615fbb51a6dd1b612835d13"),
@@ -395,6 +422,83 @@ class TestCellGridScreen:
         est = run_chain(ModelParams(space, region, lam), steps, burn, seed,
                         collect_trace=True, **kwargs)
         assert _trace_digest(est) == digest
+
+
+class TestCellTable:
+    """The chain's cell table against all pairs, under chain-like edits."""
+
+    @staticmethod
+    def _check_books(table, centers):
+        # every centre sits in its own cell, at its recorded slot, and each
+        # row holds exactly ``fill`` entries packed at the front
+        rows, slots = np.array(table.cell_of, dtype=np.int64), np.array(table.slot_of, dtype=np.int64)
+        assert len(rows) == len(slots) == len(centers)
+        assert (table.slots[rows, slots] == np.arange(len(centers))).all()
+        if len(centers):
+            home = table.nbr[table.coords(centers) @ table.weights, table.centre]
+            assert (rows == home).all()
+        front = np.arange(table.slots.shape[1]) < table.fill[:, None]
+        assert ((table.slots >= 0) == front).all()
+
+    @staticmethod
+    def _near_points(space, region, excl, centers, rng):
+        # uniform points, partners at exactly the exclusion along an axis,
+        # and points at the region's edge, where coordinates are clipped
+        pts = [region.sample(space, rng, 8)]
+        if len(centers):
+            step = np.zeros((4, space.n))
+            step[np.arange(4), rng.integers(space.n, size=4)] = excl * rng.choice([-1.0, 1.0], 4)
+            pts.append(centers[rng.integers(len(centers), size=4)] + step)
+        edge = region.sample(space, rng, 4)
+        axes = rng.integers(space.n, size=4)
+        if isinstance(region, TorusRegion):
+            edge[np.arange(4), axes] = [0.0, 0.0, np.nextafter(region.side, 0), np.nextafter(region.side, 0)]
+        else:  # on the sphere up to rounding, two of them at +-R on an axis
+            edge *= region.radius / norm_batch(edge, space)[:, None]
+            edge[:2] = 0.0
+            edge[[0, 1], axes[:2]] = [region.radius, -region.radius]
+        pts = np.concatenate(pts + [edge])
+        if isinstance(region, TorusRegion):
+            return pts % region.side
+        return pts[region.contains_points(pts, space)]
+
+    @given(spaces(max_n=4), st.sampled_from(["torus", "ball"]), st.data())
+    def test_screens_match_all_pairs(self, space, kind, data):
+        excl = 2.0 * space.r_unit
+        n = space.n
+        # 3-100 cells per axis, within the chain's own neighbour-table budget
+        top = min(100.0, _CellTable.BUDGET ** (1.0 / n) / 3)
+        cells = data.draw(st.floats(3.0, top))
+        region = TorusRegion(cells * excl) if kind == "torus" else SuperballRegion(cells * excl / 2)
+        if not _CellGrid(space, region, excl).usable:
+            return  # cells within rounding of 3: the chain never builds this table
+        table = _CellTable(space, region, excl)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        centers = np.empty((0, n))
+        for op in data.draw(st.lists(st.integers(0, 3), min_size=20, max_size=80)):
+            if op < 3 or not len(centers):  # a birth, unscreened so that cells overflow
+                new = self._near_points(space, region, excl, centers, rng)
+                for y in new[rng.integers(len(new), size=1 + op)]:
+                    table.add(y)
+                    centers = np.vstack([centers, y])
+            else:  # the chain's death: swap-with-last removal
+                i = int(rng.integers(len(centers)))
+                centers[i] = centers[-1]
+                centers = centers[:-1]
+                table.remove_swap(i)
+            self._check_books(table, centers)
+
+        probes = self._near_points(space, region, excl, centers, rng)
+        brute = distance_batch(probes[:, None, :], centers[None], space, region)
+        pi, pj = table.near(probes)
+        for r, y in enumerate(probes):
+            cand = table.candidates(y)
+            assert set(cand.tolist()) == set(pj[pi == r].tolist())
+            assert set(np.flatnonzero(brute[r] <= excl).tolist()) <= set(cand.tolist())
+            conflicted = cand.size > 0 and bool((distance_batch(centers[cand], y, space, region) < excl).any())
+            assert conflicted == bool((brute[r] < excl).any())
+        hit = pi[distance_batch(probes[pi], centers[pj], space, region) < excl]
+        assert len(probes) - len(set(hit.tolist())) == int((brute.min(axis=1, initial=np.inf) >= excl).sum())
 
 
 class TestAlphaCurve:

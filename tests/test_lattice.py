@@ -382,6 +382,19 @@ class TestCertificates:
         assert not ok
         assert min_d < 2.0 * cert.radius
 
+    @pytest.mark.parametrize("claims", [
+        {"density": 10.0}, {"min_pairwise_distance": 99.0}, {"density": 10.0, "min_pairwise_distance": 99.0},
+    ])
+    def test_false_claims_detected(self, claims):
+        _, cert = self.packed()
+        data = cert.to_json()
+        true_min = data["min_pairwise_distance"]
+        for key, factor in claims.items():
+            data[key] = data[key] * factor if key == "density" else factor
+        ok, min_d = verify_packing(data)
+        assert not ok
+        assert min_d == true_min
+
     def test_center_outside_ball_detected(self):
         _, cert = self.packed()
         centers = cert.centers.copy()
