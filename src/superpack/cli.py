@@ -35,6 +35,7 @@ from .lattice_graph import (
     build_lattice,
     emit_packing,
     greedy_independent_set,
+    json_text,
     local_sparsity_stats,
     save_certificate,
     verify_packing,
@@ -64,7 +65,7 @@ def _resolve_out(path: str | None) -> str | None:
 
 def _emit(payload: dict | str, out: str | None) -> None:
     if isinstance(payload, dict):
-        payload = json.dumps(payload, indent=1, sort_keys=True) + "\n"
+        payload = json_text(payload)
     if out:
         write_text(out, payload)
     else:

@@ -8,6 +8,12 @@ representatives are centers of nonoverlapping superballs of radius r,
 so the output is a packing, certified by recomputing every pairwise
 distance from scratch.
 
+The graph is never materialised: representatives sit on the grid
+(idx + 0.5) eps, so a vertex's neighbours are its translates by one
+offset stencil, looked up in a dense cube table. Offsets clearly shorter
+than 2r join every translate; those within a rounding band of 2r get the
+exact per-pair test. Degrees stream offset by offset in O(N) memory.
+
 Quantities that recur below:
 
     margin = 2 n^((p+2)/(2p)) eps
@@ -29,16 +35,15 @@ import os
 import tempfile
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-import scipy.sparse
 
 from .constants import ConstantChain
 from .errors import ComputationError, InputError
 from .geometry import BlockSpec, SpaceParams, SuperballRegion, min_pairwise, norm_batch
 
 __all__ = [
-    "MAX_EDGES",
     "LatticeParams",
     "Lattice",
     "build_lattice",
@@ -51,11 +56,11 @@ __all__ = [
     "emit_packing",
     "verify_packing",
     "save_certificate",
+    "json_text",
     "write_text",
     "load_certificate",
 ]
 
-MAX_EDGES = 10_000_000
 CLAIM_RTOL = 1e-12  # claimed vs recomputed density and minimum distance in verify_packing
 
 
@@ -112,46 +117,30 @@ class Lattice:
     def representatives(self) -> np.ndarray:
         return (self.indices + 0.5) * self.params.eps
 
-    def cube_codes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Sorted linear codes, their lattice rows, and the index box.
+    def table(self, pad=0) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Dense cube table over the index box widened by ``pad`` per side.
 
-        Returns (codes, rows, lo, dims) where codes is ascending and
-        rows[k] is the lattice row whose cube has code codes[k].
+        Returns (rows, lo, dims, strides): rows[(idx - lo) @ strides] is the
+        lattice row of the cube with index idx, or -1, for idx in the box
+        lo + [0, dims). That is prod(dims) int64 entries; the index box lies
+        in the (2 ceil(R/eps) + 2)^n box that ``build_lattice`` sweeps, and
+        ``build_graph`` pads by at most its extent, so at most 3^n times that.
         """
-        lo = self.indices.min(axis=0)
-        dims = self.indices.max(axis=0) - lo + 1
-        codes = np.ravel_multi_index((self.indices - lo).T, dims)
-        rows = np.argsort(codes).astype(np.int64)
-        return codes[rows], rows, lo, dims
+        lo = self.indices.min(axis=0) - pad
+        dims = self.indices.max(axis=0) + pad + 1 - lo
+        strides = np.cumprod(np.append(1, dims[:0:-1]))[::-1]
+        rows = np.full(int(np.prod(dims)), -1, dtype=np.int64)
+        rows[(self.indices - lo) @ strides] = np.arange(self.N)
+        return rows, lo, dims, strides
 
     def locate(self, points: np.ndarray) -> np.ndarray:
         """Row index of the cube holding each point, -1 when none does."""
-        points = np.atleast_2d(points)
-        idx = np.floor(points / self.params.eps).astype(np.int64)
-        out = np.full(len(points), -1, dtype=np.int64)
-        found, rows = _lookup(idx, *self.cube_codes())
-        out[found] = rows
+        idx = np.floor(np.atleast_2d(points) / self.params.eps).astype(np.int64)
+        rows, lo, dims, strides = self.table()
+        inside = ((idx >= lo) & (idx < lo + dims)).all(axis=1)
+        out = np.full(len(idx), -1, dtype=np.int64)
+        out[inside] = rows[(idx[inside] - lo) @ strides]
         return out
-
-
-def _lookup(idx, codes, rows, lo, dims) -> tuple[np.ndarray, np.ndarray]:
-    """Which rows of ``idx`` name a listed cube, and that cube's lattice row.
-
-    ``codes, rows, lo, dims`` come from ``Lattice.cube_codes``.
-    """
-    shifted = idx - lo
-    in_box = np.flatnonzero(((shifted >= 0) & (shifted < dims)).all(axis=1))
-    cand = np.ravel_multi_index(shifted[in_box].T, dims)
-    pos = np.clip(np.searchsorted(codes, cand), 0, len(codes) - 1)
-    hit = codes[pos] == cand
-    return in_box[hit], rows[pos[hit]]
-
-
-def _worst_corner(indices: np.ndarray, eps: float) -> np.ndarray:
-    """Per-coordinate farthest-from-zero corner of each cube."""
-    a = np.abs(indices * eps)
-    b = np.abs((indices + 1) * eps)
-    return np.maximum(a, b)
 
 
 def build_lattice(R: float, eps: float, space: SpaceParams) -> Lattice:
@@ -173,19 +162,16 @@ def build_lattice(R: float, eps: float, space: SpaceParams) -> Lattice:
         chunk = axis[start : start + slab]
         grids = np.meshgrid(chunk, *([axis] * (n - 1)), indexing="ij")
         idx = np.stack([g.ravel() for g in grids], axis=1)
-        ok = norm_batch(_worst_corner(idx, eps), space) <= R
-        if ok.any():
-            rows.append(idx[ok])
-    indices = np.concatenate(rows) if rows else np.empty((0, n), dtype=np.int64)
+        worst = np.maximum(np.abs(idx * eps), np.abs((idx + 1) * eps))
+        rows.append(idx[norm_batch(worst, space) <= R])
+    indices = np.concatenate(rows)
 
     N = len(indices)
     upper = (R / (eps * space.r_unit)) ** n
     lower = ((R - params.margin) / (eps * space.r_unit)) ** n
     slack = 1e-9 * upper + 1.0
     if not (lower - slack <= N <= upper + slack):
-        raise ComputationError(
-            f"cube count {N} escaped its sandwich [{lower}, {upper}]"
-        )
+        raise ComputationError(f"cube count {N} escaped its sandwich [{lower}, {upper}]")
     return Lattice(params, indices)
 
 
@@ -200,21 +186,47 @@ def cover_check(lattice: Lattice, probes: int = 100_000, seed: int = 0) -> dict:
 
 @dataclass(frozen=True)
 class GeoGraph:
-    """Symmetric proximity graph in CSR form (sorted neighbor lists)."""
+    """Symmetric proximity graph held as a translate stencil.
+
+    Vertex v's neighbours are the listed cubes at table code codes[v] + s
+    for s in ``sure`` (each one an edge) and in ``band`` (an edge when the
+    exact distance test passes). Both stencils list the shifts of the
+    offsets with first nonzero coordinate positive, then their negatives.
+    """
 
     lattice: Lattice
     vertices: np.ndarray  # (N, n) representatives
-    indptr: np.ndarray
-    neighbors: np.ndarray
     radius: float
+    table: np.ndarray  # rows of Lattice.table, padded by the stencil reach
+    codes: np.ndarray  # table code of every vertex
+    sure: np.ndarray  # table shifts
+    band: np.ndarray
 
     @property
     def N(self) -> int:
         return len(self.vertices)
 
-    @property
+    def _close(self, i, j) -> np.ndarray:
+        return norm_batch(self.vertices[i] - self.vertices[j], self.lattice.params.space) < 2.0 * self.radius
+
+    def half_edges(self):
+        """Every edge once: per half-stencil offset, (mask of vertices with an edge along it, partners)."""
+        half = [(s, False) for s in self.sure[: len(self.sure) // 2]]
+        for shift, exact in half + [(s, True) for s in self.band[: len(self.band) // 2]]:
+            j = self.table[self.codes + shift]
+            hit = j >= 0
+            if exact:
+                i = np.flatnonzero(hit)
+                hit[i] = self._close(i, j[i])
+            yield hit, j[hit]
+
+    @cached_property
     def degrees(self) -> np.ndarray:
-        return np.diff(self.indptr)
+        deg = np.zeros(self.N, dtype=np.int64)
+        for hit, j in self.half_edges():
+            deg += hit
+            deg[j] += 1  # one offset never maps two vertices to one
+        return deg
 
     @property
     def max_degree(self) -> int:
@@ -222,27 +234,35 @@ class GeoGraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self.neighbors) // 2
+        return int(self.degrees.sum()) // 2
 
     def neighbor_row(self, v: int) -> np.ndarray:
-        return self.neighbors[self.indptr[v] : self.indptr[v + 1]]
+        """Sorted neighbours of v, gathered from the full stencil."""
+        row = self.table[self.codes[v] + self.sure]
+        row = row[row >= 0]
+        if len(self.band):
+            near = self.table[self.codes[v] + self.band]
+            near = near[near >= 0]
+            row = np.concatenate([row, near[self._close(v, near)]])
+        return np.sort(row)
 
     def degree_bound(self) -> float:
         """Closed-neighborhood cardinality bound from the cube argument."""
         params = self.lattice.params
-        return (
-            (2.0 * self.radius + params.margin)
-            / (params.eps * params.space.r_unit)
-        ) ** params.space.n
+        return ((2.0 * self.radius + params.margin) / (params.eps * params.space.r_unit)) ** params.space.n
 
 
 def build_graph(lattice: Lattice, radius: float | None = None) -> GeoGraph:
-    """Join representatives closer than 2 * radius (strict).
+    """Join representatives closer than 2 * radius (strict), as a stencil.
 
-    All representatives sit on one translated grid, so the candidate
-    neighbors of any vertex are index translates by a fixed offset set;
-    each candidate pair still gets an exact distance test. The edge
-    list is capped at MAX_EDGES; denser graphs need a larger eps.
+    Candidate offsets delta satisfy |delta_d| eps <= |delta eps| < 2r, and
+    an offset longer than the index box on some axis has no translate,
+    so the stencil is clipped to the box and the cube table padded by
+    the same reach: every code + shift then stays inside the table. An
+    offset whose norm is below 2r by more than the rounding band is
+    "sure" (each translate is an edge); one within the band of 2r is
+    tested per pair exactly as an all-pairs check would; the rest have
+    no edge. Degrees are computed here and checked against the bound.
     """
     params = lattice.params
     space = params.space
@@ -252,63 +272,36 @@ def build_graph(lattice: Lattice, radius: float | None = None) -> GeoGraph:
     if not (radius > 0):
         raise InputError("radius must be positive")
     reps = lattice.representatives()
-    N = lattice.N
     threshold = 2.0 * radius
 
-    if N == 0:
-        empty = np.zeros(1, dtype=np.int64)
-        return GeoGraph(lattice, reps, empty, np.empty(0, dtype=np.int32), radius)
-
-    # candidate index offsets: |delta_d| * eps <= |delta| * eps < 2r
-    dmax = int(math.ceil(threshold / eps))
-    axis = np.arange(-dmax, dmax + 1, dtype=np.int64)
-    grids = np.meshgrid(*([axis] * space.n), indexing="ij")
+    reach = np.minimum(int(math.ceil(threshold / eps)), np.ptp(lattice.indices, axis=0))
+    grids = np.meshgrid(*[np.arange(-a, a + 1) for a in reach], indexing="ij")
     deltas = np.stack([g.ravel() for g in grids], axis=1)
     # the rows come in lexicographic order, so those past the middle (zero)
     # row are the offsets whose first nonzero coordinate is positive
     deltas = deltas[len(deltas) // 2 + 1 :]
-    deltas = deltas[norm_batch(deltas * eps, space) < threshold * (1.0 + 1e-12)]
+    length = norm_batch(deltas * eps, space)
 
-    codes, rows, lo, dims = lattice.cube_codes()
-    srcs = []
-    dsts = []
-    total = 0
-    for delta in deltas:
-        i, j = _lookup(lattice.indices + delta, codes, rows, lo, dims)
-        keep = norm_batch(reps[i] - reps[j], space) < threshold
-        i, j = i[keep], j[keep]
-        total += len(i)
-        if total > MAX_EDGES:
-            raise ComputationError(
-                f"edge count exceeded {MAX_EDGES}; increase eps to thin the lattice"
-            )
-        srcs.append(i)
-        dsts.append(j)
-
-    if srcs:
-        i = np.concatenate(srcs)
-        j = np.concatenate(dsts)
-        adj = scipy.sparse.csr_matrix(
-            (
-                np.ones(2 * len(i), dtype=np.int8),
-                (np.concatenate([i, j]), np.concatenate([j, i])),
-            ),
-            shape=(N, N),
-        )
-        adj.sort_indices()
-        indptr = adj.indptr.astype(np.int64)
-        neighbors = adj.indices.astype(np.int32)
-    else:
-        indptr = np.zeros(N + 1, dtype=np.int64)
-        neighbors = np.empty(0, dtype=np.int32)
-
-    graph = GeoGraph(lattice, reps, indptr, neighbors, float(radius))
+    # Rounding band. With u = 2^-53 and s = max |reps|: each rep coordinate
+    # is (idx + 0.5) * eps rounded once (idx + 0.5 is exact), so off by at
+    # most u s, and the subtraction adds u |delta_d eps|. The block norm is
+    # at most the l1 norm, so a pair difference lies within
+    # n u (2 s + |delta eps|) of delta eps in the norm, and fl(delta eps)
+    # within n u |delta eps|. norm_batch has relative error below (n + 6) u
+    # (squares, the block and outer sums, sqrt, and two powers within one ulp
+    # each; the outer 1/p power undoes the inner one's p-fold error growth).
+    # Near the threshold T the per-pair value and the stencil length thus
+    # differ by less than 2 (n + 6) u T + 2 n u (s + T) < 4 (n + 6) u (s + T);
+    # the band is twice that.
+    band = 4 * (space.n + 6) * np.finfo(np.float64).eps * (np.abs(reps).max(initial=0.0) + threshold)
+    rows, lo, _, strides = lattice.table(reach)
+    sure = deltas[length < threshold - band] @ strides
+    near = deltas[(length >= threshold - band) & (length < threshold + band)] @ strides
+    graph = GeoGraph(lattice, reps, float(radius), rows, (lattice.indices - lo) @ strides,
+                     np.concatenate([sure, -sure]), np.concatenate([near, -near]))
     bound = graph.degree_bound()
     if graph.N and graph.max_degree + 1 > bound * (1.0 + 1e-9):
-        raise ComputationError(
-            f"closed neighborhood of size {graph.max_degree + 1} exceeded "
-            f"its bound {bound}"
-        )
+        raise ComputationError(f"closed neighborhood of size {graph.max_degree + 1} exceeded its bound {bound}")
     return graph
 
 
@@ -320,10 +313,10 @@ def local_sparsity_stats(
     """Average degree inside each vertex's neighborhood, plus reference.
 
     Triangle counting goes through a sparse matrix square whose cost is
-    roughly sum(deg^2); graphs past ``max_flops`` are refused rather
-    than silently thrashing. The reference value D/K uses the degree
-    bound for D and K = (1/10) (2/c_p)^n; it is an asymptotic guide
-    only, reported but never asserted.
+    roughly sum(deg^2); graphs past ``max_flops`` are refused, before any
+    matrix is built, rather than silently thrashing. The reference value
+    D/K uses the degree bound for D and K = (1/10) (2/c_p)^n; it is an
+    asymptotic guide only, reported but never asserted.
     """
     deg = graph.degrees.astype(np.float64)
     if float((deg**2).sum()) > max_flops:
@@ -341,12 +334,13 @@ def local_sparsity_stats(
     if N == 0 or graph.edge_count == 0:
         report.update(max_avg_neighborhood_degree=0.0, mean_avg_neighborhood_degree=0.0)
     else:
+        import scipy.sparse
+
+        hits, partners = zip(*graph.half_edges())
+        i = np.concatenate([np.flatnonzero(hit) for hit in hits])
+        j = np.concatenate(partners)
         adj = scipy.sparse.csr_matrix(
-            (
-                np.ones(len(graph.neighbors), dtype=np.int64),
-                graph.neighbors.astype(np.int64),
-                graph.indptr,
-            ),
+            (np.ones(2 * len(i), dtype=np.int64), (np.concatenate([i, j]), np.concatenate([j, i]))),
             shape=(N, N),
         )
         # row sums of (A @ A) * A = twice the triangles through a vertex
@@ -453,32 +447,23 @@ def emit_packing(graph: GeoGraph, independent_set: np.ndarray) -> PackingCertifi
         )
     if not (norm_batch(centers, space) <= params.R).all():
         raise ComputationError("a center escaped the enclosing ball")
-    return PackingCertificate(
-        space=space,
-        R=params.R,
-        radius=graph.radius,
-        centers=centers,
-        min_pairwise_distance=min_d,
-        density=_density(len(centers), params.R, space),
-    )
+    return PackingCertificate(space, params.R, graph.radius, centers, min_d,
+                              _density(len(centers), params.R, space))
 
 
 def _certificate_from_dict(data: dict) -> PackingCertificate:
     try:
         space = SpaceParams.create(float(data["p"]), BlockSpec(tuple(data["cuts"])).cuts)
         centers = np.asarray(data["centers"], dtype=np.float64)
+        min_d = data["min_pairwise_distance"]
         if centers.ndim != 2 or centers.shape[1] != space.n:
             raise InputError(
                 f"centers must be (count, {space.n}), got shape {centers.shape}"
             )
-        return PackingCertificate(
-            space=space,
-            R=float(data["R"]),
-            radius=float(data["radius"]),
-            centers=centers,
-            min_pairwise_distance=float(data["min_pairwise_distance"]),
-            density=float(data["density"]),
-        )
+        # json_text writes a single center's infinite minimum distance as null
+        min_d = math.inf if min_d is None and len(centers) < 2 else float(min_d)
+        return PackingCertificate(space, float(data["R"]), float(data["radius"]), centers, min_d,
+                                  float(data["density"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed certificate: {exc}") from exc
 
@@ -508,12 +493,25 @@ def write_text(path, text: str) -> None:
         raise
 
 
+def _finite_or_null(obj):
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
+def json_text(payload: dict) -> str:
+    """Indented, key-sorted RFC 8259 JSON; non-finite floats become null."""
+    return json.dumps(_finite_or_null(payload), indent=1, sort_keys=True, allow_nan=False) + "\n"
+
+
 def save_certificate(cert: PackingCertificate, path, meta: dict | None = None) -> None:
     """Atomic write; optional _meta block is ignored by verification."""
     payload = cert.to_json()
     if meta:
         payload["_meta"] = meta
-    write_text(path, json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    write_text(path, json_text(payload))
 
 
 def verify_packing(cert) -> tuple[bool, float]:

@@ -16,17 +16,25 @@ SCHEMA = pathlib.Path(__file__).parent.parent / "schemas" / "certificate.schema.
 pytestmark = pytest.mark.filterwarnings("ignore:eps violates the smallness")
 
 
+def _refuse(token):
+    raise ValueError(f"{token} is not RFC 8259 JSON")
+
+
+def strict_loads(text):
+    return json.loads(text, parse_constant=_refuse)
+
+
 def run_json(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
-    return code, json.loads(out)
+    return code, strict_loads(out)
 
 
 class TestConstants:
     def test_chain_matches_golden(self, capsys):
         code, data = run_json(capsys, ["constants", "--p", "2.0"])
         assert code == 0
-        golden = json.loads((GOLDEN / "constants_golden.json").read_text())
+        golden = strict_loads((GOLDEN / "constants_golden.json").read_text())
         assert data["chain"]["c_p"] == pytest.approx(
             golden["chains"]["2.0"]["c_p"], abs=1e-9
         )
@@ -88,14 +96,14 @@ class TestSimulate:
         assert main(self.ARGS + ["--out", str(out)]) == 0
         lines = out.read_text().splitlines()
         assert lines[0].startswith("# config=")
-        config = json.loads(lines[0][len("# config=") :])
+        config = strict_loads(lines[0][len("# config=") :])
         assert config["seed"] == 5 and "version" in config
         assert lines[1] == "step,count,fv_probe_hits,accepted,birth"
         assert len(lines) == 2 + 8000  # the trace spans every step
         assert lines[2].split(",")[0] == "0"
         # unprobed steps leave the free-volume column empty
         assert any(row.split(",")[2] == "" for row in lines[2:])
-        summary = json.loads((tmp_path / "run.json").read_text())
+        summary = strict_loads((tmp_path / "run.json").read_text())
         assert summary["estimate"]["alpha_hat"] >= 0
         assert summary["replica_seeds"] == [5]
 
@@ -116,7 +124,7 @@ class TestSimulate:
                 tmp_path / f"p.r{i}.csv"
             ).read_bytes()
         assert (tmp_path / "s.json").read_bytes() == (tmp_path / "p.json").read_bytes()
-        summary = json.loads((tmp_path / "s.json").read_text())
+        summary = strict_loads((tmp_path / "s.json").read_text())
         assert len(summary["replica_seeds"]) == 3
 
     def test_summary_to_stdout_without_out(self, capsys):
@@ -138,10 +146,10 @@ class TestPackVerify:
     def test_pack_verify_round_trip(self, tmp_path, capsys):
         cert = tmp_path / "cert.json"
         assert main(self.PACK + ["--out", str(cert)]) == 0
-        payload = json.loads(cert.read_text())
-        jsonschema.validate(payload, json.loads(SCHEMA.read_text()))
+        payload = strict_loads(cert.read_text())
+        jsonschema.validate(payload, strict_loads(SCHEMA.read_text()))
         assert payload["_meta"]["config"]["command"] == "pack"
-        summary = json.loads((tmp_path / "cert.summary.json").read_text())
+        summary = strict_loads((tmp_path / "cert.summary.json").read_text())
         assert summary["count"] == len(payload["centers"])
         code, report = run_json(capsys, ["verify", "--in", str(cert)])
         assert code == 0
@@ -155,7 +163,7 @@ class TestPackVerify:
     def test_tampered_certificate_exits_4(self, tmp_path, capsys):
         cert = tmp_path / "cert.json"
         main(self.PACK + ["--out", str(cert)])
-        payload = json.loads(cert.read_text())
+        payload = strict_loads(cert.read_text())
         payload["centers"][0] = payload["centers"][1]
         cert.write_text(json.dumps(payload))
         code, report = run_json(capsys, ["verify", "--in", str(cert)])
@@ -165,7 +173,7 @@ class TestPackVerify:
     def test_false_density_and_minimum_exit_4(self, tmp_path, capsys):
         cert = tmp_path / "cert.json"
         main(self.PACK + ["--out", str(cert)])
-        payload = json.loads(cert.read_text())
+        payload = strict_loads(cert.read_text())
         true_min = payload["min_pairwise_distance"]
         payload["density"] *= 10
         payload["min_pairwise_distance"] = 99.0
@@ -175,11 +183,13 @@ class TestPackVerify:
         assert report["valid"] is False
         assert report["min_pairwise_distance"] == true_min
 
-    @pytest.mark.parametrize("field, value", [("radius", -0.6), ("R", float("inf")), ("centers", float("nan"))])
+    @pytest.mark.parametrize("field, value", [
+        ("radius", -0.6), ("R", float("inf")), ("centers", float("nan")), ("min_pairwise_distance", None),
+    ])
     def test_malformed_certificate_exits_2(self, field, value, tmp_path):
         cert = tmp_path / "cert.json"
         main(self.PACK + ["--out", str(cert)])
-        payload = json.loads(cert.read_text())
+        payload = strict_loads(cert.read_text())
         if field == "centers":
             payload["centers"][0][0] = value
         else:
@@ -201,6 +211,39 @@ class TestPackVerify:
         monkeypatch.setenv("SUPERPACK_OUT", str(tmp_path))
         assert main(self.PACK + ["--out", "env_cert.json"]) == 0
         assert (tmp_path / "env_cert.json").exists()
+
+
+class TestNonFiniteAsNull:
+    """Infinite values are written as null, never as the non-JSON Infinity."""
+
+    def test_single_center_certificate(self, tmp_path, capsys):
+        cert = tmp_path / "cert.json"
+        argv = ["pack", "--p", "2", "--cuts", "0,1", "--R", "0.61", "--eps", "0.3"]
+        assert main(argv + ["--out", str(cert)]) == 0
+        payload = strict_loads(cert.read_text())
+        jsonschema.validate(payload, strict_loads(SCHEMA.read_text()))
+        assert len(payload["centers"]) == 1
+        assert payload["min_pairwise_distance"] is None
+        assert strict_loads((tmp_path / "cert.summary.json").read_text())["min_pairwise_distance"] is None
+        code, report = run_json(capsys, ["verify", "--in", str(cert)])
+        assert code == 0
+        assert report["valid"] is True and report["min_pairwise_distance"] is None
+
+    def test_entropy_without_successes(self, capsys):
+        code, data = run_json(capsys, [
+            "thermo", "entropy", "--p", "2", "--cuts", "0,1", "--region", "ball",
+            "--size", "1", "--count", "6", "--samples", "50",
+        ])
+        assert code == 0
+        assert data["result"]["successes"] == 0 and data["result"]["se"] is None
+
+    def test_short_chain_variance_error(self, capsys):
+        code, data = run_json(capsys, [
+            "simulate", "--p", "2", "--cuts", "0,1", "--size", "5",
+            "--fugacity", "1.0", "--steps", "100", "--burnin", "0",
+        ])
+        assert code == 0
+        assert data["estimate"]["var_count_se"] is None
 
 
 class TestThermo:

@@ -7,8 +7,10 @@ import json
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-import superpack.lattice_graph as lg
+from conftest import spaces
 from superpack.cli import main
 from superpack.constants import compute_constant_chain
 from superpack.errors import ComputationError, InputError
@@ -207,11 +209,68 @@ class TestBuildGraph:
         with pytest.raises(InputError):
             build_graph(lat, radius=0.0)
 
-    def test_edge_cap(self, monkeypatch):
-        monkeypatch.setattr(lg, "MAX_EDGES", 10)
-        lat = small_plane_lattice(R_mult=2.0, eps=0.15)
-        with pytest.raises(ComputationError, match="eps"):
-            build_graph(lat)
+    def test_readme_case_packs_past_the_old_edge_cap(self, tmp_path, monkeypatch, capsys):
+        # 52M edges, five times the 10M cap of an edge-list graph; the
+        # advisory statistics must refuse it before building any matrix
+        import scipy.sparse
+
+        def no_matrix(*args, **kwargs):
+            raise AssertionError("built a sparse matrix")
+
+        monkeypatch.setattr(scipy.sparse, "csr_matrix", no_matrix)
+        cert = tmp_path / "cert.json"
+        argv = ["pack", "--p", "1.5", "--cuts", "0,1,2", "--R", "8", "--eps", "0.05"]
+        assert main(argv + ["--local-stats", "--out", str(cert)]) == 0
+        summary = json.loads((tmp_path / "cert.summary.json").read_text())
+        assert summary["edges"] > 10_000_000
+        assert summary["count"] * (summary["max_degree"] + 1) >= summary["cubes"]
+        assert set(summary["local_sparsity"]) == {"advisory", "skipped"}
+        assert main(["verify", "--in", str(cert)]) == 0
+        assert json.loads(capsys.readouterr().out)["valid"] is True
+
+
+def _all_pairs_greedy(adj: np.ndarray, order: np.ndarray) -> list[int]:
+    blocked = np.zeros(len(adj), dtype=bool)
+    chosen = []
+    for v in order:
+        if not blocked[v]:
+            chosen.append(int(v))
+            blocked |= adj[v]
+    return sorted(chosen)
+
+
+@st.composite
+def stencil_cases(draw):
+    """Small lattices, with radii that put stencil offsets exactly at 2r."""
+    space = draw(spaces(max_n=3, p_strategy=st.one_of(st.sampled_from([1.0, 2.0]), st.floats(1.0, 2.0))))
+    eps = draw(st.sampled_from([0.07, 0.1, 0.15, 0.2, 0.3]))
+    R = LatticeParams(space, 1e6, eps).margin + eps * draw(st.floats(0.25, 2.0))
+    # 2r = k eps: axis offsets of k cells sit at 2r, and for p = 2 so do
+    # offsets like (3, 4) at k = 5; None keeps the unit-volume radius
+    k = draw(st.sampled_from([None, 1, 2, 3, 4, 5]))
+    return space, R, eps, None if k is None else k * eps / 2.0
+
+
+class TestStencilGraph:
+    @given(stencil_cases())
+    def test_matches_all_pairs(self, case):
+        space, R, eps, radius = case
+        lat = build_lattice(R, eps, space)
+        assume(lat.N <= 2500)
+        g = build_graph(lat, radius=radius)
+        reps = lat.representatives()
+        adj = np.concatenate([
+            norm_batch(reps[a : a + 256, None, :] - reps[None, :, :], space) < 2.0 * g.radius
+            for a in range(0, lat.N, 256)
+        ])
+        np.fill_diagonal(adj, False)
+        assert g.degrees.tolist() == adj.sum(axis=1).tolist()
+        assert g.edge_count == int(adj.sum()) // 2
+        for v in range(lat.N):
+            assert g.neighbor_row(v).tolist() == np.flatnonzero(adj[v]).tolist()
+        orders = {"mindeg": np.argsort(adj.sum(axis=1), kind="stable"), "lex": np.arange(lat.N)}
+        for rule, order in orders.items():
+            assert greedy_independent_set(g, rule).tolist() == _all_pairs_greedy(adj, order)
 
 
 class TestNeighborhoodSandwich:
