@@ -46,11 +46,11 @@ from .thermo import entropy_estimate, pressure_estimate
 __all__ = ["main"]
 
 
-def _parse_cuts(text: str) -> tuple[int, ...]:
+def _parse_ints(text: str, name: str) -> tuple[int, ...]:
     try:
         return tuple(int(tok) for tok in text.split(","))
     except ValueError as exc:
-        raise InputError(f"cuts must be comma-separated integers, got {text!r}") from exc
+        raise InputError(f"--{name} must be comma-separated integers, got {text!r}") from exc
 
 
 def _resolve_out(path: str | None) -> str | None:
@@ -73,7 +73,7 @@ def _emit(payload: dict | str, out: str | None) -> None:
 
 
 def _space(args) -> SpaceParams:
-    return SpaceParams.create(args.p, _parse_cuts(args.cuts))
+    return SpaceParams.create(args.p, _parse_ints(args.cuts, "cuts"))
 
 
 def _region(args):
@@ -93,8 +93,7 @@ def _config(args, skip=("func", "out", "threads")) -> dict:
 
 def cmd_constants(args) -> int:
     chain = compute_constant_chain(args.p)
-    ns = [int(tok) for tok in args.n.split(",")]
-    table = [density_lower_bound(n, args.p).to_json() for n in ns]
+    table = [density_lower_bound(n, args.p).to_json() for n in _parse_ints(args.n, "n")]
     if args.format == "json":
         _emit({"config": _config(args), "chain": chain.to_json(), "density_table": table},
               _resolve_out(args.out))
@@ -326,7 +325,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        for name, least in (("seed", 0), ("mc", 0), ("replicas", 1)):
+        for name, least in (("seed", 0), ("mc", 0), ("replicas", 1), ("threads", 1)):
             if getattr(args, name, least) < least:
                 raise InputError(f"--{name} must be an integer >= {least}, got {getattr(args, name)}")
         return args.func(args)

@@ -227,94 +227,136 @@ def distance_batch(X, y, space: SpaceParams, region=None) -> np.ndarray:
     return norm_batch(diff, space)
 
 
-# relative margin between the cell side and the distances the grid must
+# relative margin between the cell side and the distances the table must
 # catch; it covers rounding in the cell coordinates (about ncell ulps)
 _GRID_SLACK = 1e-9
+# candidate slots gathered per row chunk of min_pairwise
+_GATHER = 2**16
 
 
-class _CellGrid:
-    """Uniform grid of cubic cells with side h >= ``side``.
+class _CellTable:
+    """Dense table of cubic cells of side h >= ``side``, filed with centres.
 
-    The grid spans the torus, the ball's bounding cube, or the cube of
+    The cells tile the torus, the ball's bounding cube, or the cube of
     side ``span`` at the corner ``lo`` (per axis) when ``box`` = (lo,
-    span) is given. A pair within h of each other on every axis sits in
-    the same or an adjacent cell per axis (cyclically on a torus). Since
-    |u_i - v_i| <= |u - v| for the block norm, that covers every pair at
-    distance up to h. With fewer than 3 cells per axis every cell is
-    adjacent to every other and the grid is unusable.
+    span) is given. Points within h of each other on every axis sit in
+    the same or an adjacent cell per axis (cyclically on a torus), and
+    |u_i - v_i| <= |u - v| for the block norm, so the 3^n neighbour cells
+    of a point hold every centre within h of it.
+
+    ``slots`` holds K centre indices per cell, -1 for an empty slot, and
+    ``nbr`` the slot rows of each cell's neighbours (a box gets one layer
+    of always-empty padding cells). The cells per axis k are capped so
+    that (3k)^n <= BUDGET; with fewer than 3 per axis or MIN_CELLS in all
+    left, the table has one cell of infinite side whose only neighbour is
+    itself, every pair is a candidate, and no 3^n array is built.
+
+    ``add`` and ``remove_swap`` keep the table in step with a changing
+    set at O(1) entries each (``fill``, ``cell_of`` and ``slot_of``; K
+    doubles when a cell overflows); ``load`` files a fixed set at once.
     """
+
+    MIN_CELLS, BUDGET = 64, 2**22
 
     def __init__(self, space, region, side, box=None):
         self.torus = isinstance(region, TorusRegion)
         if box is None:
             box = (0.0, region.side) if self.torus else (-region.radius, 2.0 * region.radius)
         self.lo, span = box
-        self.ncell = max(1, int(span / (side * (1.0 + _GRID_SLACK))))
-        self.h = span / self.ncell
-        self.n = space.n
-        self.weights = self.ncell ** np.arange(space.n, dtype=np.int64)
-
-    @cached_property
-    def offsets(self):
-        # 3^n rows: built on first use only, after pays() or the chain's
-        # region rule has bounded n
-        return np.array(list(itertools.product((-1, 0, 1), repeat=self.n)), dtype=np.int64)
-
-    @property
-    def usable(self) -> bool:
-        return self.ncell >= 3
-
-    def pays(self, t: int) -> bool:
-        """Whether ``min_pairwise`` should enumerate pairs of t centres.
-
-        The enumeration's fixed cost equals all pairs against 30-130
-        centres (n <= 4, 64 query rows, measured), and each query row
-        looks up 3^n cells, so t must reach both 64 and 3^n.
-        """
-        return self.usable and t >= max(64, 3**self.n)
+        self.n = n = space.n
+        cells = span / (side * (1.0 + _GRID_SLACK))  # per axis; nan gives one cell
+        k = int(min(cells, self.BUDGET ** (1.0 / n) / 3.0)) if cells >= 3.0 else 1
+        if k < 3 or k**n < self.MIN_CELLS:
+            k = 1
+        self.ncell = k
+        self.h = span / k if k > 1 else math.inf
+        self.weights = k ** np.arange(n, dtype=np.int64)
+        pad = 0 if self.torus or k == 1 else 1
+        rows = k + 2 * pad
+        offsets = np.array(list(itertools.product((-1, 0, 1) if k > 1 else (0,), repeat=n)), dtype=np.int64)
+        real = (np.arange(k**n)[:, None] // self.weights) % k
+        self.nbr = sum((real[:, a, None] + pad + offsets[:, a]) % rows * rows**a for a in range(n))
+        self.centre = len(offsets) // 2  # the (0, ..., 0) offset
+        self.slots = np.full((rows**n, 2), -1, dtype=np.int64)
+        self.fill = np.zeros(rows**n, dtype=np.int64)
+        self.cell_of, self.slot_of = [], []
 
     def coords(self, X):
         c = ((X - self.lo) / self.h).astype(np.int64)
         np.minimum(c, self.ncell - 1, out=c)
         return np.maximum(c, 0, out=c)
 
-    def pairs(self, A, B, space, region, keys_per_chunk=2**15):
-        """Candidate pairs (i, j, |A[i] - B[j]|) from the 3^n neighbour cells.
+    def cell(self, y):
+        """``coords(y) @ weights`` for one point, in scalar arithmetic."""
+        k = 0
+        for v, w in zip(y.tolist(), self.weights.tolist()):
+            k += min(max(int((v - self.lo) / self.h), 0), self.ncell - 1) * w
+        return k
 
-        The centres B are sorted by cell id once; rows of A look up their
-        neighbour cells with searchsorted, keys_per_chunk // 3^n rows at a
-        time, and each chunk's pairs are yielded. Cell ids may wrap in
-        int64 on huge grids; a collision only adds candidates.
+    def candidates(self, y):
+        """The centres in the neighbour cells of one point ``y``."""
+        cand = self.slots[self.nbr[self.cell(y)]].ravel()
+        return cand[cand >= 0]
+
+    def near(self, P):
+        """(i, j) for every centre j in a neighbour cell of row i of P."""
+        cand = self.slots[self.nbr[self.coords(P) @ self.weights]].reshape(len(P), -1)
+        i, k = np.nonzero(cand >= 0)
+        return i, cand[i, k]
+
+    def load(self, X):
+        """File the rows of X as centres 0, 1, ... of an empty table, for ``near``.
+
+        Returns False, filing nothing, when a crowded cell would take the
+        slot table past BUDGET entries; a one-cell table takes any set.
         """
-        ids = self.coords(B) @ self.weights
-        order = np.argsort(ids, kind="stable")
-        ids = ids[order]
-        rows = max(1, keys_per_chunk // len(self.offsets))
-        for start in range(0, len(A), rows):
-            near = self.coords(A[start : start + rows])[:, None, :] + self.offsets
-            if self.torus:
-                near %= self.ncell
-            keys = near @ self.weights
-            first = np.searchsorted(ids, keys, "left").ravel()
-            counts = np.searchsorted(ids, keys, "right").ravel() - first
-            if not self.torus:  # neighbours off the grid hold nothing
-                counts[((near < 0) | (near >= self.ncell)).any(axis=-1).ravel()] = 0
-            ends = np.cumsum(counts)
-            j = order[np.arange(ends[-1]) + np.repeat(first - (ends - counts), counts)]
-            i = start + np.repeat(np.arange(len(near)), counts.reshape(len(near), -1).sum(axis=1))
-            yield i, j, distance_batch(A[i], B[j], space, region)
+        home = self.nbr[self.coords(X) @ self.weights, self.centre]
+        order = np.argsort(home, kind="stable")
+        fill = np.bincount(home, minlength=len(self.fill))
+        if self.ncell > 1 and len(fill) * int(fill.max()) > self.BUDGET:
+            return False
+        self.fill, home = fill, home[order]
+        self.slots = np.full((len(fill), int(fill.max())), -1, dtype=np.int64)
+        self.slots[home, np.arange(len(X)) - (np.cumsum(fill) - fill)[home]] = order
+        return True
+
+    def add(self, y):
+        """File ``y`` as the next centre."""
+        row = int(self.nbr[self.cell(y), self.centre])
+        k = int(self.fill[row])
+        if k == self.slots.shape[1]:
+            self.slots = np.hstack([self.slots, np.full_like(self.slots, -1)])
+        self.slots[row, k] = len(self.cell_of)
+        self.fill[row] += 1
+        self.cell_of.append(row)
+        self.slot_of.append(k)
+
+    def remove_swap(self, index):
+        """Delete centre ``index``; the last centre is renamed to ``index``."""
+        row, k = self.cell_of[index], self.slot_of[index]
+        self.fill[row] -= 1
+        end = int(self.fill[row])
+        moved = self.slots[row, k] = int(self.slots[row, end])  # the row's last entry fills the hole
+        self.slot_of[moved] = k
+        self.slots[row, end] = -1
+        row, k = self.cell_of.pop(), self.slot_of.pop()  # where the last centre sits
+        if index < len(self.cell_of):
+            self.slots[row, k] = index
+            self.cell_of[index], self.slot_of[index] = row, k
 
 
 def min_pairwise(centers, space: SpaceParams, region=None) -> float:
     """Minimum distance over all pairs of rows of ``centers`` (inf below two).
 
-    Exact, bit for bit. Candidate pairs come from a cell grid over the
-    torus, or the centres' bounding cube, with cell side h starting at
-    the typical spacing (volume / t)^(1/n). Every pair within h is a
-    candidate, so the candidate minimum is exact once it is at most h;
-    otherwise h doubles while the grid is usable and pays, and past that
-    rows go 512 at a time against all rows. On a torus region, the
-    minimum-image convention applies.
+    Exact, bit for bit, for finite centres. A ``_CellTable`` over the
+    torus, or the centres' bounding cube, starts at the typical spacing
+    (volume / t)^(1/n) as its cell side h and is walked in row chunks of
+    at most _GATHER candidate slots. Every pair within h is a candidate,
+    so the candidate minimum is exact once it is at most h; otherwise h
+    doubles, until the table has one cell and every pair is a candidate.
+    A crowded cell that would take the slot table past its budget also
+    gets the one-cell table. On a torus region, the minimum-image
+    convention applies.
     """
     centers = np.asarray(centers, dtype=np.float64)
     t = len(centers)
@@ -325,24 +367,25 @@ def min_pairwise(centers, space: SpaceParams, region=None) -> float:
     else:  # a cube, so an axis of zero span (centres on a plane) needs no care
         lo = centers.min(axis=0)
         box = (lo, float((centers.max(axis=0) - lo).max()))
-    side = box[1] / t ** (1.0 / space.n)
-    while 0.0 < side < math.inf:  # also false for non-finite centres
-        grid = _CellGrid(space, region, side, box)
-        if not grid.pays(t):
-            break
+    side = box[1] / t ** (1.0 / space.n) or math.inf  # coincident centres: one cell
+    while True:
+        table = _CellTable(space, region, side, box)
+        if not table.load(centers):
+            table = _CellTable(space, region, math.inf, box)
+            table.load(centers)
+        rows = max(1, _GATHER // table.nbr.shape[1] // table.slots.shape[1])
         best = math.inf
-        for i, j, d in grid.pairs(centers, centers, space, region):
-            best = min(best, float(d[i < j].min(initial=math.inf)))
-        if best <= grid.h * (1.0 - _GRID_SLACK):
+        for start in range(0, t, rows):
+            i, j = table.near(centers[start : start + rows])
+            i += start
+            keep = i < j
+            d = distance_batch(centers[i[keep]], centers[j[keep]], space, region)
+            best = min(best, float(d.min(initial=math.inf)))
+            if best == 0.0:  # no distance is smaller
+                return best
+        if best <= table.h * (1.0 - _GRID_SLACK):
             return best
-        side = 2.0 * grid.h
-    best = math.inf
-    for start in range(0, t, 512):
-        block = centers[start : start + 512]
-        d = distance_batch(block[:, None, :], centers[None, :, :], space, region)
-        d[np.arange(len(block)), np.arange(start, start + len(block))] = math.inf  # self distances
-        best = min(best, float(d.min()))
-    return best
+        side = 2.0 * table.h
 
 
 def distance(x, y, space: SpaceParams, region=None) -> float:

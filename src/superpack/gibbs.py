@@ -36,7 +36,7 @@ from .geometry import (
     SpaceParams,
     SuperballRegion,
     TorusRegion,
-    _CellGrid,
+    _CellTable,
     distance_batch,
     min_pairwise,
     norm_batch,
@@ -77,8 +77,8 @@ class ModelParams:
             raise InputError(f"fugacity must be positive and finite, got {self.fugacity}")
         if self.radius is None:
             object.__setattr__(self, "radius", self.space.r_unit)
-        if not (self.radius > 0):
-            raise InputError(f"radius must be positive, got {self.radius}")
+        if not 0 < self.radius < math.inf:
+            raise InputError(f"radius must be positive and finite, got {self.radius}")
         if not isinstance(self.region, (SuperballRegion, TorusRegion)):
             raise InputError(f"unsupported region {self.region!r}")
         if not (0 < self.volume < math.inf):
@@ -438,86 +438,6 @@ def _sample_one(region, space, rng):
     return region.sample(space, rng, 1)[0]
 
 
-class _CellTable(_CellGrid):
-    """Dense cell list of the chain's centres, kept in step with them.
-
-    ``slots`` holds K centre indices per cell, -1 for an empty slot, and
-    ``nbr`` the slot rows of each cell's 3^n neighbours (cyclic on a
-    torus; a ball's grid gets one layer of always-empty padding cells).
-    ``fill``, ``cell_of`` and ``slot_of`` let ``add`` and the chain's
-    ``remove_swap`` write O(1) entries; K doubles when a cell overflows.
-    """
-
-    MIN_CELLS, BUDGET = 64, 2**22  # the region rule, see for_region
-
-    def __init__(self, space, region, exclusion):
-        super().__init__(space, region, exclusion)
-        pad = 0 if self.torus else 1
-        side = self.ncell + 2 * pad
-        real = (np.arange(self.ncell**self.n)[:, None] // self.weights) % self.ncell
-        self.nbr = sum((real[:, a, None] + pad + self.offsets[:, a]) % side * side**a for a in range(self.n))
-        self.centre = len(self.offsets) // 2  # the (0, ..., 0) offset
-        self.slots = np.full((side**self.n, 2), -1, dtype=np.int64)
-        self.fill = np.zeros(side**self.n, dtype=np.int64)
-        self.cell_of, self.slot_of = [], []
-
-    @classmethod
-    def for_region(cls, space, region, exclusion):
-        """The table, or None where the chain should screen all pairs.
-
-        The rule looks at the region only: 3 cells per axis, MIN_CELLS
-        cells (fewer hold too few exclusion volumes for the gather to
-        pay) and at most BUDGET neighbour entries, checked before any
-        is built.
-        """
-        grid = _CellGrid(space, region, exclusion)
-        cells = grid.ncell**space.n
-        ok = grid.usable and cls.MIN_CELLS <= cells and cells * 3**space.n <= cls.BUDGET
-        return cls(space, region, exclusion) if ok else None
-
-    def cell(self, y):
-        """``coords(y) @ weights`` for one point, in scalar arithmetic."""
-        k = 0
-        for v, w in zip(y.tolist(), self.weights.tolist()):
-            k += min(max(int((v - self.lo) / self.h), 0), self.ncell - 1) * w
-        return k
-
-    def candidates(self, y):
-        """The centres in the neighbour cells of one point ``y``."""
-        cand = self.slots[self.nbr[self.cell(y)]].ravel()
-        return cand[cand >= 0]
-
-    def near(self, P):
-        """(i, j) for every centre j in a neighbour cell of row i of P."""
-        cand = self.slots[self.nbr[self.coords(P) @ self.weights]].reshape(len(P), -1)
-        i, k = np.nonzero(cand >= 0)
-        return i, cand[i, k]
-
-    def add(self, y):
-        """File ``y`` as the next centre."""
-        row = int(self.nbr[self.cell(y), self.centre])
-        k = int(self.fill[row])
-        if k == self.slots.shape[1]:
-            self.slots = np.hstack([self.slots, np.full_like(self.slots, -1)])
-        self.slots[row, k] = len(self.cell_of)
-        self.fill[row] += 1
-        self.cell_of.append(row)
-        self.slot_of.append(k)
-
-    def remove_swap(self, index):
-        """Delete centre ``index``; the last centre is renamed to ``index``."""
-        row, k = self.cell_of[index], self.slot_of[index]
-        self.fill[row] -= 1
-        end = int(self.fill[row])
-        moved = self.slots[row, k] = int(self.slots[row, end])  # the row's last entry fills the hole
-        self.slot_of[moved] = k
-        self.slots[row, end] = -1
-        row, k = self.cell_of.pop(), self.slot_of.pop()  # where the last centre sits
-        if index < len(self.cell_of):
-            self.slots[row, k] = index
-            self.cell_of[index], self.slot_of[index] = row, k
-
-
 def run_chain(
     params: ModelParams,
     steps: int,
@@ -548,13 +468,13 @@ def run_chain(
     ``geometry.min_pairwise``. A probe is free when no center lies
     within the exclusion distance.
 
-    Both screens go through one ``_CellTable``, built at step 0 and
-    kept in step with the centers: an insertion gathers the centers of
-    its 3^n neighbour cells, the probes gather theirs in one batch, and
-    only gathered centers get the exact distance test. Whether the table
-    is built depends on the region alone (``_CellTable.for_region``: 3
-    cells per axis, at least 64 cells, at most 2^22 neighbour entries);
-    otherwise both screens test all pairs. Cell pruning is exact
+    Both screens go through one ``geometry._CellTable`` with cell side
+    at least the exclusion, built at step 0 and kept in step with the
+    centers: an insertion gathers the centers of its 3^n neighbour
+    cells, the probes gather theirs in one batch, and only gathered
+    centers get the exact distance test. Where the region leaves the
+    table one cell (fewer than 3 cells per axis or 64 cells in all),
+    both screens test all pairs instead. Cell pruning is exact
     (coordinatewise monotonicity of the norm) and no screen draws
     random numbers, so the trajectory does not depend on which screen
     ran.
@@ -567,7 +487,8 @@ def run_chain(
     lamV = params.fugacity * V
     excl = params.exclusion
     rng = np.random.default_rng(seed)
-    table = _CellTable.for_region(space, region, excl)
+    table = _CellTable(space, region, excl)
+    table = table if table.ncell > 1 else None  # one cell: both screens test all pairs
 
     centers = np.empty((64, n))
     t = 0

@@ -269,8 +269,8 @@ def build_graph(lattice: Lattice, radius: float | None = None) -> GeoGraph:
     eps = params.eps
     if radius is None:
         radius = space.r_unit
-    if not (radius > 0):
-        raise InputError("radius must be positive")
+    if not 0 < radius < math.inf:
+        raise InputError(f"radius must be positive and finite, got {radius}")
     reps = lattice.representatives()
     threshold = 2.0 * radius
 

@@ -6,6 +6,7 @@ import pathlib
 import jsonschema
 import pytest
 
+from superpack import cli
 from superpack.cli import main
 from superpack.geometry import BlockSpec, unit_ball_volume
 from superpack.thermo import entropy_estimate
@@ -57,6 +58,11 @@ class TestConstants:
 
     def test_bad_p_exits_2(self, capsys):
         assert main(["constants", "--p", "0.5"]) == 2
+
+    def test_bad_n_exits_2(self, capsys):
+        assert main(["constants", "--p", "1.5", "--n", "8,x"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("input error: --n")
 
 
 class TestVolume:
@@ -302,3 +308,24 @@ def test_negative_counts_and_seeds_exit_2(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("input error: --")
+
+
+@pytest.mark.parametrize("argv", [
+    TestSimulate.ARGS + ["--radius", "inf"],
+    TestPackVerify.PACK + ["--radius", "inf"],
+    TestThermo.BASE + ["--count", "2", "--samples", "100", "--radius", "inf"],
+    TestSimulate.ARGS + ["--radius", "nan"],
+], ids=["simulate", "pack", "entropy", "simulate-nan"])
+def test_non_finite_radius_exits_2(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "radius must be positive and finite" in captured.err
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_exit_2_before_any_work(threads, monkeypatch, capsys):
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", lambda *a, **k: pytest.fail("pool"))
+    monkeypatch.setattr(cli, "_chain_task", lambda task: pytest.fail("chain ran"))
+    assert main(["--threads", threads] + TestSimulate.ARGS + ["--replicas", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("input error: --threads")

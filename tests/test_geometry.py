@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -186,17 +187,19 @@ class TestMinPairwise:
             pts %= L
         assert min_pairwise(pts, space, region) == _all_pairs_min(pts, space, region)
 
-    @pytest.mark.parametrize("n, k, rounds", [(2, 12, [11, 5]), (3, 4, [3])])
+    @pytest.mark.parametrize("n, k, rounds", [(2, 12, [11, 1]), (2, 24, [23, 11]), (3, 4, [1])])
     def test_lattice_doubles_then_falls_back(self, n, k, rounds, monkeypatch):
         # a k^n lattice of spacing 1/2 has its minimum at the first cell
-        # side, just outside the exact range: at n = 2 the side doubles
-        # once, at n = 3 no usable grid is left and all pairs are checked
+        # side, just outside the exact range: the side doubles, and at
+        # k = 12 the doubled table keeps too few cells, so it has one cell
+        # and every pair is a candidate; at n = 3, k = 4 the first table
+        # already has one cell
         space = SpaceParams.create(1.5, tuple(range(n + 1)))
         pts = 0.5 * np.array(list(itertools.product(range(k), repeat=n)), dtype=float)
         seen = []
-        pairs = geometry._CellGrid.pairs
-        monkeypatch.setattr(geometry._CellGrid, "pairs",
-                            lambda grid, *a, **kw: seen.append(grid.ncell) or pairs(grid, *a, **kw))
+        load = geometry._CellTable.load
+        monkeypatch.setattr(geometry._CellTable, "load",
+                            lambda table, X: seen.append(table.ncell) or load(table, X))
         assert min_pairwise(pts, space) == _all_pairs_min(pts, space, None)
         assert seen == rounds
 
@@ -216,8 +219,26 @@ class TestMinPairwise:
         # 3^20 neighbour offsets would not fit in memory
         space = SpaceParams.create(1.5, (0, 10, 20))
         pts = np.random.default_rng(4).random((300, 20)) * 3.0
-        monkeypatch.setattr(geometry._CellGrid, "offsets", property(lambda grid: pytest.fail("built")))
+        tables = []
+        load = geometry._CellTable.load
+        monkeypatch.setattr(geometry._CellTable, "load",
+                            lambda table, X: tables.append(table) or load(table, X))
         assert min_pairwise(pts, space, region) == _all_pairs_min(pts, space, region)
+        assert [table.nbr.shape for table in tables] == [(1, 1)]
+
+    def test_crowded_cell_memory_is_bounded(self):
+        # 5,000 copies of one centre among 20,000: a slot table with one
+        # row per cell and a slot per copy would hold about 10^8 entries
+        space = SpaceParams.create(1.5, (0, 1, 2))
+        pts = np.random.default_rng(5).random((20_000, 2)) * 10.0
+        pts[:5_000] = pts[0]
+        tracemalloc.start()
+        try:
+            assert min_pairwise(pts, space) == 0.0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
 
 
 class TestVolume:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from superpack.geometry import (
     SpaceParams,
     SuperballRegion,
     TorusRegion,
-    _CellGrid,
+    _CellTable,
     distance_batch,
     norm_batch,
 )
@@ -27,7 +28,6 @@ from superpack.gibbs import (
     intersection_volume_check,
     intersection_volume_mc,
     merge_estimates,
-    _CellTable,
     run_chain,
 )
 
@@ -181,6 +181,11 @@ class TestModelParams:
         with pytest.raises(InputError):
             ModelParams(LINE, TorusRegion(5.0), 1.0, radius=-0.5)
 
+    @pytest.mark.parametrize("radius", [math.inf, math.nan])
+    def test_rejects_non_finite_radius(self, radius):
+        with pytest.raises(InputError):
+            ModelParams(LINE, TorusRegion(5.0), 1.0, radius=radius)
+
     def test_warns_on_wrapping_exclusion(self):
         with pytest.warns(UserWarning):
             ModelParams(LINE, TorusRegion(3.0), 1.0, radius=1.0)
@@ -248,14 +253,14 @@ class TestRunChain:
 
     @staticmethod
     def _table_then_all_pairs(monkeypatch, params, *args):
-        # the region rule decides the screen: first let every usable grid
-        # build the table, then let none
+        # the region rule decides the screen: first let every region with
+        # 3 cells per axis have a table, then leave every table one cell
         space, region, excl = params.space, params.region, params.exclusion
         monkeypatch.setattr(_CellTable, "MIN_CELLS", 0)
-        assert _CellTable.for_region(space, region, excl) is not None
+        assert _CellTable(space, region, excl).ncell > 1
         a = run_chain(params, *args)
         monkeypatch.setattr(_CellTable, "BUDGET", 0)
-        assert _CellTable.for_region(space, region, excl) is None
+        assert _CellTable(space, region, excl).ncell == 1
         return a, run_chain(params, *args)
 
     def test_cell_list_matches_direct(self, monkeypatch):
@@ -273,9 +278,9 @@ class TestRunChain:
         # the 1D L = 20 chains of acceptance criterion 05 hold too few
         # cells for the table to pay; the benchmark's chain region does not
         for region in (TorusRegion(20.0), SuperballRegion(10.0)):
-            assert _CellTable.for_region(LINE, region, 1.0) is None
+            assert _CellTable(LINE, region, 1.0).ncell == 1
         space = SpaceParams.create(1.5, (0, 1, 2))
-        assert _CellTable.for_region(space, TorusRegion(60.0), 2 * space.r_unit) is not None
+        assert _CellTable(space, TorusRegion(60.0), 2 * space.r_unit).ncell > 1
 
     def test_ball_region_chain(self):
         params = rod_interval(10.0, 1.0)
@@ -355,14 +360,17 @@ class TestCellGridScreen:
 
         probes = np.concatenate([region.sample(space, rng, 64), partners])
         brute = distance_batch(probes[:, None, :], pts[None], space, region)
-        grid = _CellGrid(space, region, excl)
-        assert grid.usable == (cells >= 3) or abs(cells - 3) < 1e-6
-        if grid.usable:
-            chunks = grid.pairs(probes, pts, space, region, keys_per_chunk=7 * 3**space.n)
-            i, j, d = map(np.concatenate, zip(*chunks))
-            assert (d == brute[i, j]).all()
-            blocked = np.bincount(i[d < excl], minlength=len(probes)) > 0
-            assert (blocked == (brute.min(axis=1) < excl)).all()
+        table = _CellTable(space, region, excl)
+        # the cells per axis: at most the region holds, capped by BUDGET, or one
+        k = min(math.floor(cells), int(_CellTable.BUDGET ** (1 / space.n) / 3))
+        one = k < 3 or k**space.n < _CellTable.MIN_CELLS
+        assert table.ncell == (1 if one else k) or abs(cells - round(cells)) < 1e-6
+        assert table.h >= excl and table.load(pts)
+        i, j = table.near(probes)
+        d = distance_batch(probes[i], pts[j], space, region)
+        assert (d == brute[i, j]).all()
+        blocked = np.bincount(i[d < excl], minlength=len(probes)) > 0
+        assert (blocked == (brute.min(axis=1) < excl)).all()
 
         for config in (pts, np.concatenate([pts, partners])):
             all_pairs = distance_batch(config[:, None, :], config[None], space, region)
@@ -374,30 +382,37 @@ class TestCellGridScreen:
                 with pytest.raises(ComputationError):
                     conf.validate()
 
-    def test_validate_in_row_chunks(self):
-        # at n = 6 a chunk holds 2^15 // 3^6 = 44 query rows, so validation
-        # of the configuration below runs through many chunks
+    def test_validate_in_row_chunks(self, monkeypatch):
+        # at n = 6 each query row gathers 3^6 neighbour cells of K slots,
+        # so a chunk holds 2^16 // (729 K) rows and validation of the
+        # configuration below runs through many chunks
         space = SpaceParams.create(1.5, (0, 3, 6))
         excl = 2.0 * space.r_unit
         region = TorusRegion(4.0 * excl)
         pts, _ = self._hard_core_points(space, region, excl, np.random.default_rng(9), tries=1500)
-        assert _CellGrid(space, region, excl).pays(len(pts)) and len(pts) > 10 * 44
+        chunks = []
+        near = _CellTable.near
+        monkeypatch.setattr(_CellTable, "near",
+                            lambda table, P: chunks.append((len(P), table.slots[table.nbr[0]].size)) or near(table, P))
         all_pairs = distance_batch(pts[:, None, :], pts[None], space, region)
         exact = all_pairs[np.triu_indices(len(pts), 1)].min()
         assert Configuration(pts, ModelParams(space, region, 1.0)).validate() == exact
+        assert len(chunks) > 10 and all(rows * gathered <= 2**16 for rows, gathered in chunks)
+        assert sum(rows for rows, _ in chunks) == len(pts)
 
     def test_high_dimensional_torus_chain_builds_no_neighbour_table(self, monkeypatch):
         # 3^20 neighbour offsets would not fit in memory; the chain must
-        # screen all pairs without building them or a cell table
+        # screen all pairs without building them
         space = SpaceParams.create(1.5, (0, 10, 20))
         region = TorusRegion(3.5 * 2 * space.r_unit)
         params = ModelParams(space, region, 1.0)
-        grid = _CellGrid(space, region, params.exclusion)
-        assert grid.usable and not grid.pays(10**9)
-        assert "offsets" not in vars(grid)
-        monkeypatch.setattr(_CellGrid, "offsets", property(lambda grid: pytest.fail("built")))
-        assert _CellTable.for_region(space, region, params.exclusion) is None
+        tables = []
+        init = _CellTable.__init__
+        monkeypatch.setattr(_CellTable, "__init__", lambda table, *a: tables.append(table) or init(table, *a))
         est = run_chain(params, 400, 100, 5, validate_every=50, collect_trace=True)
+        # 3 cells per axis fit, but (3 * 3)^20 neighbour entries pass BUDGET:
+        # the chain's table and every validation's table have one cell
+        assert len(tables) > 1 and all(table.nbr.shape == (1, 1) for table in tables)
         assert est.final_count > 100
         assert est.final_configuration.validate() >= params.exclusion
         assert (est.trace["fv_probe_hits"][est.trace["fv_probe_hits"] >= 0] > 0).all()
@@ -470,9 +485,9 @@ class TestCellTable:
         top = min(100.0, _CellTable.BUDGET ** (1.0 / n) / 3)
         cells = data.draw(st.floats(3.0, top))
         region = TorusRegion(cells * excl) if kind == "torus" else SuperballRegion(cells * excl / 2)
-        if not _CellGrid(space, region, excl).usable:
-            return  # cells within rounding of 3: the chain never builds this table
-        table = _CellTable(space, region, excl)
+        with mock.patch.object(_CellTable, "MIN_CELLS", 0):  # 3 cells per axis are enough here
+            table = _CellTable(space, region, excl)  # one cell for cells within rounding of 3
+            loaded = _CellTable(space, region, excl)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         centers = np.empty((0, n))
         for op in data.draw(st.lists(st.integers(0, 3), min_size=20, max_size=80)):
@@ -499,6 +514,10 @@ class TestCellTable:
             assert conflicted == bool((brute[r] < excl).any())
         hit = pi[distance_batch(probes[pi], centers[pj], space, region) < excl]
         assert len(probes) - len(set(hit.tolist())) == int((brute.min(axis=1, initial=np.inf) >= excl).sum())
+        if len(centers):  # filed in one pass, the same centres are gathered
+            assert loaded.load(centers)
+            li, lj = loaded.near(probes)
+            assert sorted(zip(li.tolist(), lj.tolist())) == sorted(zip(pi.tolist(), pj.tolist()))
 
 
 class TestAlphaCurve:

@@ -209,6 +209,12 @@ class TestBuildGraph:
         with pytest.raises(InputError):
             build_graph(lat, radius=0.0)
 
+    @pytest.mark.parametrize("radius", [float("inf"), float("nan")])
+    def test_non_finite_radius(self, radius):
+        lat = build_lattice(1.0, 0.25, LINE)
+        with pytest.raises(InputError):
+            build_graph(lat, radius=radius)
+
     def test_readme_case_packs_past_the_old_edge_cap(self, tmp_path, monkeypatch, capsys):
         # 52M edges, five times the 10M cap of an edge-list graph; the
         # advisory statistics must refuse it before building any matrix
