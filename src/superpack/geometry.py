@@ -256,14 +256,14 @@ class _CellTable:
     doubles when a cell overflows); ``load`` files a fixed set at once.
     """
 
-    MIN_CELLS, BUDGET = 64, 2**22
+    MIN_CELLS, BUDGET = 64, 2**22  # below MIN_CELLS cells the gather does not pay
 
     def __init__(self, space, region, side, box=None):
         self.torus = isinstance(region, TorusRegion)
         if box is None:
             box = (0.0, region.side) if self.torus else (-region.radius, 2.0 * region.radius)
         self.lo, span = box
-        self.n = n = space.n
+        n = space.n
         cells = span / (side * (1.0 + _GRID_SLACK))  # per axis; nan gives one cell
         k = int(min(cells, self.BUDGET ** (1.0 / n) / 3.0)) if cells >= 3.0 else 1
         if k < 3 or k**n < self.MIN_CELLS:
@@ -272,13 +272,13 @@ class _CellTable:
         self.h = span / k if k > 1 else math.inf
         self.weights = k ** np.arange(n, dtype=np.int64)
         pad = 0 if self.torus or k == 1 else 1
-        rows = k + 2 * pad
+        width = k + 2 * pad
         offsets = np.array(list(itertools.product((-1, 0, 1) if k > 1 else (0,), repeat=n)), dtype=np.int64)
         real = (np.arange(k**n)[:, None] // self.weights) % k
-        self.nbr = sum((real[:, a, None] + pad + offsets[:, a]) % rows * rows**a for a in range(n))
+        self.nbr = sum((real[:, a, None] + pad + offsets[:, a]) % width * width**a for a in range(n))
         self.centre = len(offsets) // 2  # the (0, ..., 0) offset
-        self.slots = np.full((rows**n, 2), -1, dtype=np.int64)
-        self.fill = np.zeros(rows**n, dtype=np.int64)
+        self.slots = np.full((width**n, 2), -1, dtype=np.int64)
+        self.fill = np.zeros(width**n, dtype=np.int64)
         self.cell_of, self.slot_of = [], []
 
     def coords(self, X):
