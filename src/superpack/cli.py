@@ -18,7 +18,6 @@ verification that returned "invalid".
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import os
 import sys
@@ -29,7 +28,7 @@ from . import __version__
 from .constants import compute_constant_chain, density_lower_bound
 from .errors import ComputationError, InputError
 from .geometry import SpaceParams, SuperballRegion, TorusRegion, norm_batch, unit_ball_volume
-from .gibbs import ModelParams, merge_estimates, run_chain
+from .gibbs import ModelParams, merge_estimates, run_chains
 from .lattice_graph import (
     build_graph,
     build_lattice,
@@ -140,11 +139,6 @@ def cmd_volume(args) -> int:
     return 0
 
 
-def _chain_task(task):
-    params, steps, burn_in, seed, trace = task
-    return run_chain(params, steps, burn_in, seed, collect_trace=trace)
-
-
 def _trace_csv(estimate, config_line: str) -> str:
     # the trace spans every step; estimates use only the post-burn-in part
     trace = estimate.trace
@@ -168,12 +162,8 @@ def cmd_simulate(args) -> int:
     seeds = [args.seed] if args.replicas == 1 else [
         int(s) for s in np.random.SeedSequence(args.seed).generate_state(args.replicas, dtype=np.uint64)
     ]
-    tasks = [(params, args.steps, args.burnin, s, out is not None) for s in seeds]
-    if args.threads > 1 and len(tasks) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.threads) as pool:
-            estimates = list(pool.map(_chain_task, tasks))
-    else:
-        estimates = [_chain_task(t) for t in tasks]
+    trace = {"collect_trace": out is not None}
+    estimates = run_chains([(params, args.steps, args.burnin, s, trace) for s in seeds], args.threads)
 
     config_line = json.dumps(conf, sort_keys=True)
     if out:
@@ -235,7 +225,7 @@ def cmd_thermo(args) -> int:
     if args.quantity == "pressure":
         res = pressure_estimate(
             params, grid_size=args.grid, steps=args.steps,
-            burn_in=args.burnin, seed=args.seed,
+            burn_in=args.burnin, seed=args.seed, threads=args.threads,
         )
     else:
         if args.count is None:
@@ -248,7 +238,9 @@ def cmd_thermo(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="superpack", description=__doc__)
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker processes for replicated runs")
+                        help="processes that share independent chains: the replicas "
+                             "of simulate and the grid chains of thermo pressure "
+                             "(thermo entropy ignores it); never changes results")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_space(p):

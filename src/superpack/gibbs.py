@@ -53,6 +53,7 @@ __all__ = [
     "exact_moments",
     "ChainEstimate",
     "run_chain",
+    "run_chains",
     "estimate_alpha_curve",
     "merge_estimates",
     "intersection_volume_mc",
@@ -594,26 +595,66 @@ def run_chain(
     return est
 
 
+def _run_task(task) -> ChainEstimate:
+    # module level, so a pool can pickle it; looks run_chain up at call time
+    params, steps, burn_in, seed, kwargs = task
+    return run_chain(params, steps, burn_in, seed, **kwargs)
+
+
+def run_chains(tasks, threads: int = 1) -> list[ChainEstimate]:
+    """Run independent chains and return their estimates in input order.
+
+    Each task is ``(params, steps, burn_in, seed, chain_kwargs)`` for one
+    ``run_chain`` call. With ``threads > 1`` and more than one task the
+    calling process runs tasks ``i % threads == 0`` itself and a pool of
+    ``threads - 1`` worker processes runs the rest. Every chain draws
+    only from its own seed, so the estimates, and the first error in
+    input order, are those of the serial run. The pool is shut down,
+    pending tasks cancelled, before this returns or raises.
+
+    The pool uses the platform's default start method (fork on Linux
+    for the supported Pythons): workers inherit the imported modules
+    instead of importing scipy again.
+    """
+    tasks = list(tasks)
+    if threads <= 1 or len(tasks) <= 1:
+        return [_run_task(t) for t in tasks]
+    import concurrent.futures
+
+    pool = concurrent.futures.ProcessPoolExecutor(max_workers=threads - 1)
+    try:
+        remote = {i: pool.submit(_run_task, t) for i, t in enumerate(tasks) if i % threads}
+        return [remote[i].result() if i in remote else _run_task(t) for i, t in enumerate(tasks)]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def estimate_alpha_curve(
     params: ModelParams,
     fugacities,
     steps: int,
     burn_in: int,
     seed: int,
+    *,
+    threads: int = 1,
     **chain_kwargs,
 ) -> list[tuple[float, ChainEstimate]]:
-    """Independent chains across an activity grid, fresh seed per point."""
+    """Independent chains across an activity grid, fresh seed per point.
+
+    ``threads`` is the number of processes that share the chains
+    (see ``run_chains``); the result does not depend on it.
+    """
     fugacities = [float(x) for x in fugacities]
     if any(x <= 0 for x in fugacities):
         raise InputError("all fugacities must be positive")
     if any(b <= a for a, b in zip(fugacities, fugacities[1:])):
         raise InputError("fugacity grid must be strictly increasing")
     child_seeds = np.random.SeedSequence(seed).generate_state(len(fugacities), dtype=np.uint64)
-    out = []
-    for lam, s in zip(fugacities, child_seeds):
-        p = ModelParams(params.space, params.region, lam, params.radius)
-        out.append((lam, run_chain(p, steps, burn_in, int(s), **chain_kwargs)))
-    return out
+    tasks = [
+        (ModelParams(params.space, params.region, lam, params.radius), steps, burn_in, int(s), chain_kwargs)
+        for lam, s in zip(fugacities, child_seeds)
+    ]
+    return list(zip(fugacities, run_chains(tasks, threads)))
 
 
 def merge_estimates(estimates: list[ChainEstimate]) -> ChainEstimate:

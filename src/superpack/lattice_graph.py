@@ -71,8 +71,8 @@ class LatticeParams:
     eps: float
 
     def __post_init__(self):
-        if not (self.R > 0 and self.eps > 0):
-            raise InputError("R and eps must be positive")
+        if not all(v > 0 and math.isfinite(v) for v in (self.R, self.eps)):
+            raise InputError(f"R and eps must be positive and finite, got {self.R}, {self.eps}")
         r = self.space.r_unit
         if self.eps >= r:
             raise InputError(

@@ -111,6 +111,7 @@ def pressure_estimate(
     steps: int = 200_000,
     burn_in: int | None = None,
     seed: int = 0,
+    threads: int = 1,
     **chain_kwargs,
 ) -> ThermoResult:
     """Thermodynamic integration of the density over activity.
@@ -120,6 +121,8 @@ def pressure_estimate(
     alpha_hat(x)/x, and closes the ideal-gas segment below the grid
     with its leading term lambda_0 (bias O(lambda_0^2)). The standard
     error combines the chain errors through the trapezoid weights.
+    ``threads`` processes share the grid's chains
+    (``gibbs.run_chains``); the result does not depend on it.
     """
     if lam is None:
         lam = params.fugacity
@@ -132,7 +135,7 @@ def pressure_estimate(
 
     grid = np.geomspace(lam * 1e-4, lam, grid_size)
     curve = estimate_alpha_curve(
-        params, grid, steps=steps, burn_in=burn_in, seed=seed, **chain_kwargs
+        params, grid, steps=steps, burn_in=burn_in, seed=seed, threads=threads, **chain_kwargs
     )
     alpha = np.array([c.alpha_hat for _, c in curve])
     alpha_se = np.array([c.alpha_se for _, c in curve])

@@ -1,13 +1,16 @@
 """End-to-end command line checks, run in-process through main()."""
 
+import concurrent.futures
 import json
+import multiprocessing
 import pathlib
 
 import jsonschema
 import pytest
 
-from superpack import cli
+from superpack import gibbs
 from superpack.cli import main
+from superpack.errors import ComputationError
 from superpack.geometry import BlockSpec, unit_ball_volume
 from superpack.thermo import entropy_estimate
 
@@ -257,6 +260,10 @@ class TestThermo:
         "thermo", "entropy", "--p", "2", "--cuts", "0,1",
         "--region", "ball", "--size", "5",
     ]
+    PRESSURE = [
+        "thermo", "pressure", "--p", "1.5", "--cuts", "0,1,2", "--region", "torus",
+        "--size", "20", "--fugacity", "5", "--grid", "4", "--steps", "300", "--seed", "7",
+    ]
 
     def test_entropy_matches_library_call(self, capsys):
         code, data = run_json(
@@ -288,6 +295,28 @@ class TestThermo:
         assert code == 0
         assert data["result"]["kind"] == "pressure"
         assert data["result"]["value"] >= 0
+
+    def test_pressure_threads_byte_identical(self, tmp_path):
+        for threads in ("1", "2"):
+            out = str(tmp_path / f"t{threads}.json")
+            assert main(["--threads", threads] + self.PRESSURE + ["--out", out]) == 0
+        assert (tmp_path / "t1.json").read_bytes() == (tmp_path / "t2.json").read_bytes()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_failed_grid_chain_exits_3(self, threads, monkeypatch, capsys):
+        chain = gibbs.run_chain
+
+        def flaky(params, steps, burn_in, seed, **kwargs):
+            if params.fugacity == 5.0:  # the last grid point, a worker's with --threads 2
+                raise ComputationError("chain failed")
+            return chain(params, steps, burn_in, seed, **kwargs)
+
+        monkeypatch.setattr(gibbs, "run_chain", flaky)
+        assert main(["--threads", threads] + self.PRESSURE) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "computation error: chain failed\n"
+        assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize(
@@ -322,10 +351,21 @@ def test_non_finite_radius_exits_2(argv, capsys):
     assert captured.out == "" and "radius must be positive and finite" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    TestPackVerify.PACK[:-4] + ["--R", "inf", "--eps", "0.1"],
+    TestPackVerify.PACK[:-4] + ["--R", "nan", "--eps", "0.1"],
+    TestPackVerify.PACK[:-4] + ["--R", "1.9", "--eps", "nan"],
+], ids=["R-inf", "R-nan", "eps-nan"])
+def test_non_finite_lattice_exits_2(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "R and eps must be positive and finite" in captured.err
+
+
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_threads_below_one_exit_2_before_any_work(threads, monkeypatch, capsys):
-    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", lambda *a, **k: pytest.fail("pool"))
-    monkeypatch.setattr(cli, "_chain_task", lambda task: pytest.fail("chain ran"))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", lambda *a, **k: pytest.fail("pool"))
+    monkeypatch.setattr(gibbs, "run_chain", lambda *a, **k: pytest.fail("chain ran"))
     assert main(["--threads", threads] + TestSimulate.ARGS + ["--replicas", "3"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("input error: --threads")

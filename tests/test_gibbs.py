@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import multiprocessing
 from unittest import mock
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import spaces
+from superpack import gibbs
 from superpack.errors import ComputationError, InputError
 from superpack.geometry import (
     SpaceParams,
@@ -544,6 +546,29 @@ class TestAlphaCurve:
     def test_requires_increasing_grid(self):
         with pytest.raises(InputError):
             estimate_alpha_curve(ring(20.0, 1.0), [1.0, 0.5], steps=100, burn_in=10, seed=0)
+
+    @pytest.mark.parametrize("failing", [[0], [1], [2, 3]], ids=["caller", "worker", "both"])
+    def test_chain_error_is_the_serial_one_and_leaves_no_worker(self, failing, monkeypatch):
+        # forked workers inherit the patch; with threads=2 the caller runs
+        # grid points 0 and 2 and the worker points 1 and 3
+        seeds = np.random.SeedSequence(4).generate_state(4, dtype=np.uint64)
+        bad = {int(seeds[i]): i for i in failing}
+        chain = gibbs.run_chain
+
+        def flaky(params, steps, burn_in, seed, **kwargs):
+            if seed in bad:
+                raise ComputationError(f"grid point {bad[seed]} failed")
+            return chain(params, steps, burn_in, seed, **kwargs)
+
+        monkeypatch.setattr(gibbs, "run_chain", flaky)
+        errors = []
+        for threads in (1, 2, 3):
+            with pytest.raises(ComputationError) as err:
+                estimate_alpha_curve(ring(20.0, 1.0), [0.5, 1.0, 2.0, 4.0], steps=3_000,
+                                     burn_in=300, seed=4, threads=threads)
+            errors.append(str(err.value))
+            assert multiprocessing.active_children() == []
+        assert errors == [f"grid point {failing[0]} failed"] * 3
 
     def test_merge(self):
         params = ring(20.0, 1.0)

@@ -107,6 +107,13 @@ class TestPressureEstimate:
         res = pressure_estimate(params, grid_size=4, steps=2_000, seed=1)
         assert res.lam == 0.25
 
+    @pytest.mark.parametrize("threads, grid", [(2, 5), (3, 4)])
+    def test_threads_do_not_change_the_result(self, threads, grid):
+        params = ModelParams(SpaceParams.create(1.5, (0, 1, 2)), TorusRegion(8.0), 3.0)
+        serial = pressure_estimate(params, grid_size=grid, steps=1_500, seed=6)
+        parallel = pressure_estimate(params, grid_size=grid, steps=1_500, seed=6, threads=threads)
+        assert parallel.to_json() == serial.to_json()
+
     def test_reference_attached_inside_window(self):
         # n=1 window is (1/2, 1/c_2]
         params = rods_on_ring(10.0, fugacity=0.51)
