@@ -16,11 +16,11 @@ torus this is an anchor point, not a test.
     python3 scripts/density_report.py --p 2.0 --simulate --json report.json
 """
 import argparse
-import json
 
 from superpack.constants import density_lower_bound
 from superpack.geometry import SpaceParams, TorusRegion
 from superpack.gibbs import ModelParams, run_chain
+from superpack.lattice_graph import json_text, write_text
 from superpack.thermo import pressure_reference
 
 COLUMNS = (
@@ -99,8 +99,7 @@ def main():
                   f"(se {anchor['alpha_se']:.1e}, floor {anchor['alpha_floor']:.6e})")
 
     if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(out, fh, indent=1, sort_keys=True)
+        write_text(args.json, json_text(out))
         print(f"\nwrote {args.json}")
 
 

@@ -83,9 +83,9 @@ def _region(args):
     raise InputError(f"unknown region {args.region!r}")
 
 
-def _config(args, skip=("func", "out", "threads")) -> dict:
+def _config(args) -> dict:
     # threads is an execution resource, not part of the result's identity
-    conf = {k: v for k, v in vars(args).items() if k not in skip}
+    conf = {k: v for k, v in vars(args).items() if k not in ("func", "out", "threads")}
     conf["version"] = __version__
     return conf
 
@@ -162,8 +162,7 @@ def cmd_simulate(args) -> int:
     seeds = [args.seed] if args.replicas == 1 else [
         int(s) for s in np.random.SeedSequence(args.seed).generate_state(args.replicas, dtype=np.uint64)
     ]
-    trace = {"collect_trace": out is not None}
-    estimates = run_chains([(params, args.steps, args.burnin, s, trace) for s in seeds], args.threads)
+    estimates = run_chains([(params, args.steps, args.burnin, s, out is not None) for s in seeds], args.threads)
 
     config_line = json.dumps(conf, sort_keys=True)
     if out:

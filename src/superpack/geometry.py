@@ -132,15 +132,13 @@ class SpaceParams:
 
     Build through :meth:`create`. ``p`` may be any real >= 1 for norm
     and volume work; the convexity-constant machinery elsewhere is
-    restricted to 1 < p <= 2 and p > 2 sets ``p_above_two`` plus a
-    warning at construction.
+    restricted to 1 < p <= 2, and p > 2 warns at construction.
     """
 
     p: float
     q: float
     blocks: BlockSpec
     r_unit: float
-    p_above_two: bool = False
 
     @classmethod
     def create(cls, p: float, cuts) -> "SpaceParams":
@@ -148,15 +146,14 @@ class SpaceParams:
         if not math.isfinite(p) or p < 1.0:
             raise InputError(f"p must be a finite real >= 1, got {p}")
         blocks = cuts if isinstance(cuts, BlockSpec) else BlockSpec(tuple(cuts))
-        above = p > 2.0
-        if above:
+        if p > 2.0:
             warnings.warn(
                 f"p={p} is outside (1, 2]; norms and volumes are fine but the "
                 "convexity constant chain is unavailable",
                 stacklevel=2,
             )
         q = p / (p - 1.0) if p > 1.0 else math.inf
-        return cls(p=p, q=q, blocks=blocks, r_unit=r_unit(p, blocks), p_above_two=above)
+        return cls(p=p, q=q, blocks=blocks, r_unit=r_unit(p, blocks))
 
     def __post_init__(self):
         # conjugate exponent identity and the unit-volume identity are

@@ -16,7 +16,7 @@ deletions accepted at the textbook grand canonical rates.
 
 Deterministic evaluation routes exist for one-dimensional regions
 (closed forms for both the interval and the ring) and for t <= 4 in
-n <= 2 (midpoint quadrature, accuracy O(1/points_per_axis)); a Monte
+n <= 2 (midpoint quadrature under a fixed flop budget); a Monte
 Carlo packing-probability estimator covers everything else and reports
 its standard error.
 """
@@ -62,6 +62,9 @@ __all__ = [
 ]
 
 _TAIL_CUTOFF = 1e-15
+FV_PROBES = 64  # free-volume probe points per probed step
+FV_STRIDE = 8  # probe every FV_STRIDE-th recorded step
+VALIDATE_EVERY = 4096  # accepted moves between full hard-core rechecks
 
 
 @dataclass(frozen=True)
@@ -169,15 +172,13 @@ def _quad_grid(params: ModelParams, points_per_axis: int):
     return pts, step**n
 
 
-def _quadrature(t: int, params: ModelParams, points_per_axis: int | None) -> float:
+def _quadrature(t: int, params: ModelParams) -> float:
     n = params.space.n
     if n > 2 or t > 4:
         raise InputError("quadrature route supports n <= 2 and t <= 4 only")
-    if points_per_axis is None:
-        # keep the pair/triple/quadruple counting under a fixed flop budget
-        per_t = {2: 4096, 3: 420, 4: 150}
-        points_per_axis = max(3, int(per_t[t] ** (1.0 / n)))
-    pts, w = _quad_grid(params, points_per_axis)
+    # keep the pair/triple/quadruple counting under a fixed flop budget
+    per_t = {2: 4096, 3: 420, 4: 150}
+    pts, w = _quad_grid(params, max(3, int(per_t[t] ** (1.0 / n))))
     M = len(pts)
     if M == 0:
         return 0.0
@@ -245,7 +246,6 @@ def canonical_partition(
     *,
     mc_samples: int = 200_000,
     seed: int = 0,
-    points_per_axis: int | None = None,
 ) -> PartitionEstimate:
     """Canonical configuration integral Zhat(t) for t superballs.
 
@@ -270,7 +270,7 @@ def canonical_partition(
         return PartitionEstimate(t, _closed_form_1d(t, params), 0.0, "closed_form")
 
     if method == "quadrature" or (method == "auto" and params.space.n <= 2 and t <= 4):
-        return PartitionEstimate(t, _quadrature(t, params, points_per_axis), 0.0, "quadrature")
+        return PartitionEstimate(t, _quadrature(t, params), 0.0, "quadrature")
 
     value, se = _mc_partition(t, params, mc_samples, seed)
     return PartitionEstimate(t, value, se, "mc")
@@ -376,9 +376,9 @@ class ChainEstimate:
 
     alpha_hat is the mean occupancy per unit volume over the recorded
     window, fv_hat the probe estimate of the free-volume fraction, and
-    var_count the sample variance of the count series. Standard errors
-    come from 32 batch means. Counters satisfy
-    accepted_births + accepted_deaths + rejections = steps.
+    var_count the sample variance of the count series (nan below two
+    recorded steps). Standard errors come from 32 batch means. Counters
+    satisfy accepted_births + accepted_deaths + rejections = steps.
     """
 
     alpha_hat: float
@@ -445,9 +445,6 @@ def run_chain(
     burn_in: int,
     seed: int,
     *,
-    fv_probes: int = 64,
-    fv_stride: int = 8,
-    validate_every: int = 4096,
     collect_trace: bool = False,
 ) -> ChainEstimate:
     """Birth-death Metropolis chain for the hard-core grand ensemble.
@@ -455,19 +452,24 @@ def run_chain(
     Each step flips a fair coin. Insertion draws a uniform point of the
     region and, when it violates no exclusion, accepts with probability
     min(1, lam V / (t+1)); deletion picks a uniform existing center and
-    accepts with min(1, t / (lam V)). The chain starts empty. Counts
-    are recorded after ``burn_in`` steps; free-volume probes run every
-    ``fv_stride``-th recorded step with ``fv_probes`` fresh uniform
-    points each. All randomness comes from one generator in a fixed
-    draw order, so results are bit-for-bit reproducible from the seed.
+    accepts with min(1, t / (lam V)). The chain starts empty. The
+    schedule is fixed: estimates use the steps after ``burn_in``, and
+    free-volume probes run on every 8th of those (``FV_STRIDE``) with
+    64 fresh uniform points each (``FV_PROBES``). All randomness comes
+    from one generator in a fixed draw order, so results are
+    bit-for-bit reproducible from the seed.
 
     Every accepted insertion has passed an exact exclusion screen
     against all current centers, so the hard-core invariant holds by
     induction after every accepted move; the configuration is
-    re-validated from scratch every ``validate_every`` accepted moves
-    (0 disables) and always at the end, through
+    re-validated from scratch every 4096 accepted moves
+    (``VALIDATE_EVERY``) and always at the end, through
     ``geometry.min_pairwise``. A probe is free when no center lies
     within the exclusion distance.
+
+    The count and probe-hit series (-1 where no probe ran) are kept
+    for every step; with ``collect_trace`` the estimate carries them,
+    with the per-step acceptance and move type, as ``trace``.
 
     Both screens go through one ``geometry._CellTable`` with cell side
     at least the exclusion, built at step 0 and kept in step with the
@@ -501,12 +503,9 @@ def run_chain(
         near = centers[:t] if table is None else centers[table.candidates(y)]
         return len(near) > 0 and bool((distance_batch(near, y, space, region) < excl).any())
 
-    recorded = steps - burn_in
-    counts = np.empty(recorded, dtype=np.int64)
-    fv_fracs = []
+    count = np.empty(steps, dtype=np.int64)
+    fv_probe_hits = np.full(steps, -1, dtype=np.int64)
     if collect_trace:
-        tr_count = np.empty(steps, dtype=np.int64)
-        tr_fv = np.full(steps, -1, dtype=np.int64)
         tr_acc = np.zeros(steps, dtype=np.uint8)
         tr_birth = np.zeros(steps, dtype=np.uint8)
 
@@ -539,44 +538,38 @@ def run_chain(
 
         if accepted:
             accepted_since_check += 1
-            if validate_every and accepted_since_check >= validate_every:
+            if accepted_since_check >= VALIDATE_EVERY:
                 Configuration(centers[:t].copy(), params).validate()
                 accepted_since_check = 0
 
-        rec = step - burn_in
-        fv_now = -1
-        if rec >= 0:
-            counts[rec] = t
-            if rec % fv_stride == 0:
-                probes = region.sample(space, rng, fv_probes)
-                if t == 0:
-                    free = fv_probes
-                elif table is not None:
-                    pi, pj = table.near(probes)
-                    hit = pi[distance_batch(probes[pi], centers[pj], space, region) < excl]
-                    free = fv_probes - len(set(hit.tolist()))
-                else:
-                    d = distance_batch(probes[:, None, :], centers[None, :t], space, region)
-                    free = int((d.min(axis=1) >= excl).sum())
-                fv_fracs.append(free / fv_probes)
-                fv_now = free
+        count[step] = t
+        if step >= burn_in and (step - burn_in) % FV_STRIDE == 0:
+            probes = region.sample(space, rng, FV_PROBES)
+            if t == 0:
+                free = FV_PROBES
+            elif table is not None:
+                pi, pj = table.near(probes)
+                hit = pi[distance_batch(probes[pi], centers[pj], space, region) < excl]
+                free = FV_PROBES - len(set(hit.tolist()))
+            else:
+                d = distance_batch(probes[:, None, :], centers[None, :t], space, region)
+                free = int((d.min(axis=1) >= excl).sum())
+            fv_probe_hits[step] = free
         if collect_trace:
-            tr_count[step] = t
-            tr_fv[step] = fv_now
             tr_acc[step] = accepted
             tr_birth[step] = birth
 
     final = Configuration(centers[:t].copy(), params)
     final.validate()
 
-    fv_arr = np.asarray(fv_fracs)
-    counts_f = counts.astype(np.float64)
+    counts_f = count[burn_in:].astype(np.float64)
+    fv_arr = fv_probe_hits[burn_in::FV_STRIDE] / FV_PROBES
     est = ChainEstimate(
         alpha_hat=float(counts_f.mean() / V),
         alpha_se=_batch_se(counts_f) / V,
         fv_hat=float(fv_arr.mean()),
         fv_se=_batch_se(fv_arr),
-        var_count=float(counts_f.var(ddof=1)),
+        var_count=float(counts_f.var(ddof=1)) if len(counts_f) > 1 else math.nan,
         var_count_se=_batch_var_se(counts_f),
         mean_count=float(counts_f.mean()),
         steps=steps,
@@ -586,7 +579,7 @@ def run_chain(
         seed=int(seed),
         final_count=t,
         trace=(
-            {"count": tr_count, "fv_probe_hits": tr_fv, "accepted": tr_acc, "birth": tr_birth}
+            {"count": count, "fv_probe_hits": fv_probe_hits, "accepted": tr_acc, "birth": tr_birth}
             if collect_trace
             else None
         ),
@@ -597,19 +590,19 @@ def run_chain(
 
 def _run_task(task) -> ChainEstimate:
     # module level, so a pool can pickle it; looks run_chain up at call time
-    params, steps, burn_in, seed, kwargs = task
-    return run_chain(params, steps, burn_in, seed, **kwargs)
+    params, steps, burn_in, seed, collect_trace = task
+    return run_chain(params, steps, burn_in, seed, collect_trace=collect_trace)
 
 
 def run_chains(tasks, threads: int = 1) -> list[ChainEstimate]:
     """Run independent chains and return their estimates in input order.
 
-    Each task is ``(params, steps, burn_in, seed, chain_kwargs)`` for one
-    ``run_chain`` call. With ``threads > 1`` and more than one task the
-    calling process runs tasks ``i % threads == 0`` itself and a pool of
-    ``threads - 1`` worker processes runs the rest. Every chain draws
-    only from its own seed, so the estimates, and the first error in
-    input order, are those of the serial run. The pool is shut down,
+    Each task is ``(params, steps, burn_in, seed, collect_trace)`` for
+    one ``run_chain`` call. With ``threads > 1`` and more than one task
+    the calling process runs tasks ``i % threads == 0`` itself and a
+    pool of ``threads - 1`` worker processes runs the rest. Every chain
+    draws only from its own seed, so the estimates, and the first error
+    in input order, are those of the serial run. The pool is shut down,
     pending tasks cancelled, before this returns or raises.
 
     The pool uses the platform's default start method (fork on Linux
@@ -637,7 +630,6 @@ def estimate_alpha_curve(
     seed: int,
     *,
     threads: int = 1,
-    **chain_kwargs,
 ) -> list[tuple[float, ChainEstimate]]:
     """Independent chains across an activity grid, fresh seed per point.
 
@@ -651,7 +643,7 @@ def estimate_alpha_curve(
         raise InputError("fugacity grid must be strictly increasing")
     child_seeds = np.random.SeedSequence(seed).generate_state(len(fugacities), dtype=np.uint64)
     tasks = [
-        (ModelParams(params.space, params.region, lam, params.radius), steps, burn_in, int(s), chain_kwargs)
+        (ModelParams(params.space, params.region, lam, params.radius), steps, burn_in, int(s), False)
         for lam, s in zip(fugacities, child_seeds)
     ]
     return list(zip(fugacities, run_chains(tasks, threads)))

@@ -62,6 +62,7 @@ __all__ = [
 ]
 
 CLAIM_RTOL = 1e-12  # claimed vs recomputed density and minimum distance in verify_packing
+MAX_FLOPS = 5e9  # sum(deg^2) above which local_sparsity_stats refuses a graph
 
 
 @dataclass(frozen=True)
@@ -305,21 +306,17 @@ def build_graph(lattice: Lattice, radius: float | None = None) -> GeoGraph:
     return graph
 
 
-def local_sparsity_stats(
-    graph: GeoGraph,
-    chain: ConstantChain | None = None,
-    max_flops: float = 5e9,
-) -> dict:
+def local_sparsity_stats(graph: GeoGraph, chain: ConstantChain | None = None) -> dict:
     """Average degree inside each vertex's neighborhood, plus reference.
 
     Triangle counting goes through a sparse matrix square whose cost is
-    roughly sum(deg^2); graphs past ``max_flops`` are refused, before any
+    roughly sum(deg^2); graphs past ``MAX_FLOPS`` are refused, before any
     matrix is built, rather than silently thrashing. The reference value
     D/K uses the degree bound for D and K = (1/10) (2/c_p)^n; it is an
     asymptotic guide only, reported but never asserted.
     """
     deg = graph.degrees.astype(np.float64)
-    if float((deg**2).sum()) > max_flops:
+    if float((deg**2).sum()) > MAX_FLOPS:
         raise ComputationError(
             "neighborhood statistics would need too many operations; "
             "sample vertices instead or rebuild with larger eps"

@@ -105,18 +105,17 @@ def entropy_reference(n: int, p: float) -> float | None:
 
 def pressure_estimate(
     params: ModelParams,
-    lam: float | None = None,
     grid_size: int = 32,
     *,
     steps: int = 200_000,
     burn_in: int | None = None,
     seed: int = 0,
     threads: int = 1,
-    **chain_kwargs,
 ) -> ThermoResult:
     """Thermodynamic integration of the density over activity.
 
-    Runs one chain per grid point on a log-spaced activity grid from
+    The activity lambda is the model's, ``params.fugacity``. Runs one
+    chain per grid point on a log-spaced activity grid from
     lambda * 1e-4 up to lambda, applies the trapezoid rule to
     alpha_hat(x)/x, and closes the ideal-gas segment below the grid
     with its leading term lambda_0 (bias O(lambda_0^2)). The standard
@@ -124,10 +123,7 @@ def pressure_estimate(
     ``threads`` processes share the grid's chains
     (``gibbs.run_chains``); the result does not depend on it.
     """
-    if lam is None:
-        lam = params.fugacity
-    if not (lam > 0.0 and math.isfinite(lam)):
-        raise InputError(f"activity must be positive and finite, got {lam}")
+    lam = params.fugacity
     if grid_size < 2:
         raise InputError("grid_size must be at least 2")
     if burn_in is None:
@@ -135,7 +131,7 @@ def pressure_estimate(
 
     grid = np.geomspace(lam * 1e-4, lam, grid_size)
     curve = estimate_alpha_curve(
-        params, grid, steps=steps, burn_in=burn_in, seed=seed, threads=threads, **chain_kwargs
+        params, grid, steps=steps, burn_in=burn_in, seed=seed, threads=threads
     )
     alpha = np.array([c.alpha_hat for _, c in curve])
     alpha_se = np.array([c.alpha_se for _, c in curve])

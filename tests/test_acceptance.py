@@ -20,6 +20,7 @@ import warnings
 import numpy as np
 import pytest
 
+from superpack import gibbs
 from superpack.cli import main
 from superpack.constants import (
     clarkson_residuals,
@@ -231,12 +232,11 @@ def test_criterion_06_alpha_equals_lam_fv():
             ).generate_state(20, dtype=np.uint64)
             hits = 0
             for s in seeds:
-                est = run_chain(params, 40_000, 4_000, seed=int(s),
-                                fv_probes=64, collect_trace=True)
+                est = run_chain(params, 40_000, 4_000, seed=int(s), collect_trace=True)
                 tr = est.trace
                 probed = tr["fv_probe_hits"] >= 0
                 diff = (tr["count"][probed] / V
-                        - lam * tr["fv_probe_hits"][probed] / 64.0)
+                        - lam * tr["fv_probe_hits"][probed] / gibbs.FV_PROBES)
                 hits += abs(diff.mean()) <= 3.0 * _difference_se(diff)
             results.append((n, p, lam, hits))
             assert hits >= 19, (n, p, lam, hits)

@@ -4,6 +4,7 @@ import concurrent.futures
 import json
 import multiprocessing
 import pathlib
+import warnings
 
 import jsonschema
 import pytest
@@ -253,6 +254,16 @@ class TestNonFiniteAsNull:
         ])
         assert code == 0
         assert data["estimate"]["var_count_se"] is None
+
+    def test_one_recorded_step_warns_nothing(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, data = run_json(capsys, [
+                "simulate", "--p", "1.5", "--cuts", "0,1,2", "--region", "torus", "--size", "20",
+                "--fugacity", "5", "--steps", "3", "--burnin", "2",
+            ])
+        assert code == 0
+        assert data["estimate"]["var_count"] is None and data["estimate"]["alpha_se"] is None
 
 
 class TestThermo:

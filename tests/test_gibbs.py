@@ -249,8 +249,9 @@ class TestRunChain:
         assert est.accepted_births + est.accepted_deaths + est.rejections == est.steps
         assert est.rejections >= 0
 
-    def test_validate_every_accepted_move(self):
-        est = run_chain(ring(20.0, 1.0), steps=3_000, burn_in=0, seed=8, validate_every=1)
+    def test_validate_every_accepted_move(self, monkeypatch):
+        monkeypatch.setattr(gibbs, "VALIDATE_EVERY", 1)
+        est = run_chain(ring(20.0, 1.0), steps=3_000, burn_in=0, seed=8)
         est.final_configuration.validate()
 
     @staticmethod
@@ -291,13 +292,25 @@ class TestRunChain:
         assert abs(est.alpha_hat - exact["alpha"]) <= 4 * est.alpha_se
 
     def test_trace_arrays(self):
-        est = run_chain(ring(20.0, 1.0), steps=64, burn_in=16, seed=1,
-                        fv_stride=4, collect_trace=True)
+        est = run_chain(ring(20.0, 1.0), steps=64, burn_in=16, seed=1, collect_trace=True)
         tr = est.trace
         assert set(tr) == {"count", "fv_probe_hits", "accepted", "birth"}
         assert len(tr["count"]) == 64
-        probed = tr["fv_probe_hits"][16::4]
-        assert (probed >= 0).all()
+        probed = np.zeros(64, dtype=bool)
+        probed[16::gibbs.FV_STRIDE] = True
+        assert (tr["fv_probe_hits"][probed] >= 0).all()
+        assert (tr["fv_probe_hits"][~probed] == -1).all()
+
+    @pytest.mark.parametrize("side", [20.0, 600.0], ids=["one-cell", "table"])
+    def test_trace_does_not_change_the_estimate(self, side):
+        params = ring(side, 1.0)
+        assert (_CellTable(LINE, params.region, params.exclusion).ncell > 1) == (side > 20.0)
+        plain = run_chain(params, 3_000, 300, 17)
+        traced = run_chain(params, 3_000, 300, 17, collect_trace=True)
+        assert plain.trace is None and plain.to_json() == traced.to_json()
+        probes = traced.trace["fv_probe_hits"][300:]
+        assert traced.alpha_hat == traced.trace["count"][300:].mean() / params.volume
+        assert traced.fv_hat == (probes[probes >= 0] / gibbs.FV_PROBES).mean()
 
     def test_rejects_bad_schedule(self):
         with pytest.raises(InputError):
@@ -411,7 +424,8 @@ class TestCellGridScreen:
         tables = []
         init = _CellTable.__init__
         monkeypatch.setattr(_CellTable, "__init__", lambda table, *a: tables.append(table) or init(table, *a))
-        est = run_chain(params, 400, 100, 5, validate_every=50, collect_trace=True)
+        monkeypatch.setattr(gibbs, "VALIDATE_EVERY", 50)
+        est = run_chain(params, 400, 100, 5, collect_trace=True)
         # 3 cells per axis fit, but (3 * 3)^20 neighbour entries pass BUDGET:
         # the chain's table and every validation's table have one cell
         assert len(tables) > 1 and all(table.nbr.shape == (1, 1) for table in tables)
@@ -422,22 +436,21 @@ class TestCellGridScreen:
     # SHA-256 of the trace arrays and summary as produced by all-pairs
     # probe screens and validation; the cell grid must match bit for bit
     GOLDEN = [
-        ((1.5, (0, 1, 2)), "torus", 30, 5.0, 8000, 1000, 21,
-         {"validate_every": 200},
+        ((1.5, (0, 1, 2)), "torus", 30, 5.0, 8000, 1000, 21, 200,
          "13e35df98e613c8fcb2a09a53651f7a913854c3f0e18f3e97be6c6fb919911e9"),
-        ((1.2, (0, 1, 3)), "torus", 10, 4.0, 8000, 1000, 22, {"validate_every": 300},
+        ((1.2, (0, 1, 3)), "torus", 10, 4.0, 8000, 1000, 22, 300,
          "e2614b71f8fcc058abab1b8351147fa5ca0ac9f9c615fbb51a6dd1b612835d13"),
-        ((1.3, (0, 1)), "ball", 40, 2.0, 6000, 500, 23, {"validate_every": 100},
+        ((1.3, (0, 1)), "ball", 40, 2.0, 6000, 500, 23, 100,
          "2e6f72844dc248a5822d2f54dd0b3b80c8f8e328e7d08dc716bc7da22d141f87"),
     ]
 
     @pytest.mark.parametrize("case", GOLDEN, ids=["torus-2d", "torus-3d", "ball-1d"])
-    def test_trajectory_golden(self, case):
-        (p, cuts), kind, size, lam, steps, burn, seed, kwargs, digest = case
+    def test_trajectory_golden(self, case, monkeypatch):
+        (p, cuts), kind, size, lam, steps, burn, seed, validate_every, digest = case
+        monkeypatch.setattr(gibbs, "VALIDATE_EVERY", validate_every)
         space = SpaceParams.create(p, cuts)
         region = (TorusRegion if kind == "torus" else SuperballRegion)(size * space.r_unit)
-        est = run_chain(ModelParams(space, region, lam), steps, burn, seed,
-                        collect_trace=True, **kwargs)
+        est = run_chain(ModelParams(space, region, lam), steps, burn, seed, collect_trace=True)
         assert _trace_digest(est) == digest
 
 

@@ -11,6 +11,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conftest import spaces
+from superpack import lattice_graph
 from superpack.cli import main
 from superpack.constants import compute_constant_chain
 from superpack.errors import ComputationError, InputError
@@ -333,10 +334,11 @@ class TestSparsityStats:
         assert stats["reference_K"] == pytest.approx(K)
         assert stats["reference_D_over_K"] == pytest.approx(g.degree_bound() / K)
 
-    def test_flop_guard(self):
+    def test_flop_guard(self, monkeypatch):
         g = self.complete_graph()
+        monkeypatch.setattr(lattice_graph, "MAX_FLOPS", 1.0)
         with pytest.raises(ComputationError):
-            local_sparsity_stats(g, max_flops=1.0)
+            local_sparsity_stats(g)
 
     def test_edgeless_graph(self):
         lat = build_lattice(1.0, 0.25, LINE)

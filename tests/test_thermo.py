@@ -98,8 +98,8 @@ class TestPressureEstimate:
         assert abs(res.value - exact) <= 3 * res.se
 
     def test_vanishing_activity(self):
-        params = rods_on_ring(20.0, fugacity=1.0)
-        res = pressure_estimate(params, lam=1e-9, grid_size=4, steps=2_000, seed=1)
+        params = rods_on_ring(20.0, fugacity=1e-9)
+        res = pressure_estimate(params, grid_size=4, steps=2_000, seed=1)
         assert 0.0 <= res.value < 1e-9
 
     def test_activity_defaults_to_model(self):
@@ -122,13 +122,13 @@ class TestPressureEstimate:
         assert res.lower_bound_ref > 0
 
     def test_input_validation(self):
-        params = rods_on_ring(10.0, fugacity=1.0)
+        # the activity is the model's, which ModelParams checks
         with pytest.raises(InputError):
-            pressure_estimate(params, lam=-1.0)
+            pressure_estimate(rods_on_ring(10.0, fugacity=-1.0))
         with pytest.raises(InputError):
-            pressure_estimate(params, lam=math.inf)
+            pressure_estimate(rods_on_ring(10.0, fugacity=math.inf))
         with pytest.raises(InputError):
-            pressure_estimate(params, grid_size=1)
+            pressure_estimate(rods_on_ring(10.0, fugacity=1.0), grid_size=1)
 
 
 class TestEntropyEstimate:
