@@ -182,8 +182,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_pack(args) -> int:
     space = _space(args)
+    radius = space.superball_radius(args.radius)  # before any lattice work
     lattice = build_lattice(args.R, args.eps, space)
-    graph = build_graph(lattice, radius=args.radius)
+    graph = build_graph(lattice, radius=radius)
     chosen = greedy_independent_set(graph, args.order)
     cert = emit_packing(graph, chosen)
     conf = _config(args)

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import InputError
 
@@ -99,6 +98,51 @@ class BlockSpec:
             raise InputError(f"malformed BlockSpec encoding: {obj!r}") from exc
 
 
+# cephes ``lgam`` (behind SciPy's gammaln): Stirling correction A,
+# rational function B/C on [2, 3), log(sqrt(2 pi))
+_LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
+           -2.77777777730099687205e-3, 8.33333333333331927722e-2)
+_LGAM_B = (-1.37825152569120859100e3, -3.88016315134637840924e4, -3.31612992738871184744e5,
+           -1.16237097492762307383e6, -1.72173700820839662146e6, -8.53555664245765465627e5)
+_LGAM_C = (-3.51815701436523470549e2, -1.70642106651881159223e4, -2.20528590553854454839e5,
+           -1.13933444367982507207e6, -2.53252307177582951285e6, -2.01889141433532773231e6)
+_LS2PI = 0.91893853320467274178
+
+
+def _polevl(coefs, x: float, acc: float = 0.0) -> float:
+    # Horner's rule; acc = 1.0 prepends cephes p1evl's implicit leading 1
+    for c in coefs:
+        acc = acc * x + c
+    return acc
+
+
+def _lgamma(x: float) -> float:
+    """log Gamma(x) for x >= 1, operation for operation as cephes ``lgam``,
+    so bit-identical to SciPy's gammaln without importing SciPy."""
+    if x < 13.0:
+        z, p, u = 1.0, 0.0, x
+        while u >= 3.0:
+            p -= 1.0
+            u = x + p
+            z *= u
+        while u < 2.0:
+            z /= u
+            p += 1.0
+            u = x + p
+        if u == 2.0:
+            return math.log(z)
+        x += p - 2.0
+        return math.log(z) + x * _polevl(_LGAM_B, x) / _polevl(_LGAM_C, x, 1.0)
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    return q + _polevl(_LGAM_A, p) / x
+
+
 def log_unit_ball_volume(p: float, blocks: BlockSpec) -> float:
     """log of the Lebesgue volume of the unit ball of the block norm.
 
@@ -110,10 +154,10 @@ def log_unit_ball_volume(p: float, blocks: BlockSpec) -> float:
     if not (p >= 1.0) or not math.isfinite(p):
         raise InputError(f"p must be a finite real >= 1, got {p}")
     n = blocks.n
-    lv = -gammaln(n / p + 1.0)
+    lv = -_lgamma(n / p + 1.0)
     for d in blocks.block_dims:
-        lv += (d / 2.0) * math.log(math.pi) - gammaln(d / 2.0 + 1.0)
-        lv += gammaln(d / p + 1.0)
+        lv += (d / 2.0) * math.log(math.pi) - _lgamma(d / 2.0 + 1.0)
+        lv += _lgamma(d / p + 1.0)
     return float(lv)
 
 
@@ -167,6 +211,13 @@ class SpaceParams:
     @property
     def n(self) -> int:
         return self.blocks.n
+
+    def superball_radius(self, radius: float | None) -> float:
+        """``radius``, or ``r_unit`` for None; refused unless positive and finite."""
+        radius = self.r_unit if radius is None else radius
+        if not 0 < radius < math.inf:
+            raise InputError(f"radius must be positive and finite, got {radius}")
+        return radius
 
     def to_json(self) -> dict:
         return {"p": self.p, "cuts": list(self.blocks.cuts)}

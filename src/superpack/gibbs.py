@@ -28,7 +28,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .constants import ConstantChain, compute_constant_chain
 from .errors import ComputationError, InputError
@@ -79,10 +78,7 @@ class ModelParams:
     def __post_init__(self):
         if not (self.fugacity > 0) or not math.isfinite(self.fugacity):
             raise InputError(f"fugacity must be positive and finite, got {self.fugacity}")
-        if self.radius is None:
-            object.__setattr__(self, "radius", self.space.r_unit)
-        if not 0 < self.radius < math.inf:
-            raise InputError(f"radius must be positive and finite, got {self.radius}")
+        object.__setattr__(self, "radius", self.space.superball_radius(self.radius))
         if not isinstance(self.region, (SuperballRegion, TorusRegion)):
             raise InputError(f"unsupported region {self.region!r}")
         if not (0 < self.volume < math.inf):
@@ -340,7 +336,9 @@ def grand_partition(params: ModelParams, t_max: int | None = None) -> GrandParti
             truncated = True
             break
     arr = np.array(log_terms)
-    log_value = float(logsumexp(arr[np.isfinite(arr)]))
+    finite = arr[np.isfinite(arr)]
+    m = finite.max()
+    log_value = float(m + np.log(np.sum(np.exp(finite - m))))
     if not log_value <= lam * V + 1e-9 * max(1.0, abs(lam * V)):
         raise ComputationError("log Z exceeded its ideal-gas ceiling lam*vol")
     return GrandPartition(
@@ -606,8 +604,7 @@ def run_chains(tasks, threads: int = 1) -> list[ChainEstimate]:
     pending tasks cancelled, before this returns or raises.
 
     The pool uses the platform's default start method (fork on Linux
-    for the supported Pythons): workers inherit the imported modules
-    instead of importing scipy again.
+    for the supported Pythons), so workers inherit the imported modules.
     """
     tasks = list(tasks)
     if threads <= 1 or len(tasks) <= 1:

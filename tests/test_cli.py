@@ -3,13 +3,17 @@
 import concurrent.futures
 import json
 import multiprocessing
+import os
 import pathlib
+import subprocess
+import sys
 import warnings
 
 import jsonschema
 import pytest
 
-from superpack import gibbs
+import superpack
+from superpack import cli, gibbs
 from superpack.cli import main
 from superpack.errors import ComputationError
 from superpack.geometry import BlockSpec, unit_ball_volume
@@ -169,6 +173,18 @@ class TestPackVerify:
         code, data = run_json(capsys, self.PACK + ["--local-stats"])
         assert code == 0
         assert data["local_sparsity"]["advisory"] is True
+
+    def test_local_stats_without_scipy_keeps_the_packing(self, monkeypatch, capsys):
+        _, plain = run_json(capsys, self.PACK)
+        monkeypatch.setitem(sys.modules, "scipy.sparse", None)
+        code, data = run_json(capsys, self.PACK + ["--local-stats"])
+        assert code == 0
+        assert data["local_sparsity"] == {
+            "advisory": True,
+            "skipped": "neighborhood statistics need scipy: pip install 'superpack[stats]'",
+        }
+        for key in ("cubes", "edges", "count", "density", "min_pairwise_distance"):
+            assert data[key] == plain[key]
 
     def test_tampered_certificate_exits_4(self, tmp_path, capsys):
         cert = tmp_path / "cert.json"
@@ -360,6 +376,30 @@ def test_non_finite_radius_exits_2(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "radius must be positive and finite" in captured.err
+
+
+@pytest.mark.parametrize("radius", ["-1", "0", "inf", "nan"])
+def test_bad_pack_radius_exits_2_before_any_lattice_work(radius, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "build_lattice", lambda *a, **k: pytest.fail("lattice built"))
+    assert main(TestPackVerify.PACK + ["--radius", radius]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "radius must be positive and finite" in captured.err
+
+
+# the same one-liner runs in CI's console script smoke test
+NO_SCIPY_ON_IMPORT = (
+    "import sys; from superpack.cli import build_parser; "
+    "build_parser().parse_args(['pack', '--p', '1.5', '--cuts', '0,1,2', '--R', '8', '--eps', '0.05']); "
+    "bad = sorted(m for m in sys.modules if m.startswith('scipy')); "
+    "sys.exit(f'scipy imported: {bad}' if bad else 0)"
+)
+
+
+def test_cli_start_up_imports_no_scipy():
+    src = str(pathlib.Path(superpack.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", NO_SCIPY_ON_IMPORT], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
 
 
 @pytest.mark.parametrize("argv", [

@@ -280,6 +280,39 @@ class TestVolume:
             unit_ball_volume(0.8, BlockSpec((0, 2)))
 
 
+def _branch_edges():
+    # the recurrence's ends and the series switches, with 4 neighbours each side
+    edges = []
+    for c in (2.0, 3.0, 13.0, 1000.0, 1e8):
+        below = above = c
+        edges.append(c)
+        for _ in range(4):
+            below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
+            edges += [below, above]
+    return np.array(edges)
+
+
+class TestLogGamma:
+    # the argument forms the package uses: d/2 + 1, and d/p + 1 or n/p + 1
+    FORMS = np.array([d / 2.0 + 1.0 for d in range(1, 600)]
+                     + [d / p + 1.0 for d in range(1, 600) for p in np.linspace(1.0, 2.0, 201)])
+
+    def test_bit_identical_to_scipy(self):
+        special = pytest.importorskip("scipy.special")
+        xs = np.concatenate([1.0 + 0.005 * np.arange(399_801), _branch_edges(), self.FORMS])
+        got = np.array([geometry._lgamma(float(x)) for x in xs])
+        off = np.flatnonzero(got != special.gammaln(xs))
+        assert off.size == 0, f"{off.size} mismatches, first at x = {xs[off[:5]].tolist()}"
+
+    def test_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        xs = np.concatenate([np.geomspace(1.0, 1e12, 500), _branch_edges(), self.FORMS[::97]])
+        with mpmath.workdps(40):
+            for x in xs:
+                ref = float(mpmath.loggamma(mpmath.mpf(float(x))))
+                assert abs(geometry._lgamma(float(x)) - ref) <= 1e-13 * max(1.0, abs(ref)), x
+
+
 class TestSpaceParams:
     def test_conjugate_exponent(self):
         assert SpaceParams.create(1.5, (0, 1)).q == pytest.approx(3.0, rel=1e-14)
