@@ -308,8 +308,7 @@ def local_sparsity_stats(graph: GeoGraph, chain: ConstantChain | None = None) ->
 
     Triangle counting goes through a sparse matrix square whose cost is
     roughly sum(deg^2); graphs past ``MAX_FLOPS`` are refused, before any
-    matrix is built, rather than silently thrashing; without scipy (the
-    ``stats`` extra) it raises ComputationError too. The reference value
+    matrix is built, rather than silently thrashing. The reference value
     D/K uses the degree bound for D and K = (1/10) (2/c_p)^n; it is an
     asymptotic guide only, reported but never asserted.
     """
@@ -329,12 +328,7 @@ def local_sparsity_stats(graph: GeoGraph, chain: ConstantChain | None = None) ->
     if N == 0 or graph.edge_count == 0:
         report.update(max_avg_neighborhood_degree=0.0, mean_avg_neighborhood_degree=0.0)
     else:
-        try:
-            import scipy.sparse
-        except ImportError as exc:
-            raise ComputationError(
-                "neighborhood statistics need scipy: pip install 'superpack[stats]'"
-            ) from exc
+        import scipy.sparse
 
         hits, partners = zip(*graph.half_edges())
         i = np.concatenate([np.flatnonzero(hit) for hit in hits])

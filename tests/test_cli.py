@@ -174,18 +174,6 @@ class TestPackVerify:
         assert code == 0
         assert data["local_sparsity"]["advisory"] is True
 
-    def test_local_stats_without_scipy_keeps_the_packing(self, monkeypatch, capsys):
-        _, plain = run_json(capsys, self.PACK)
-        monkeypatch.setitem(sys.modules, "scipy.sparse", None)
-        code, data = run_json(capsys, self.PACK + ["--local-stats"])
-        assert code == 0
-        assert data["local_sparsity"] == {
-            "advisory": True,
-            "skipped": "neighborhood statistics need scipy: pip install 'superpack[stats]'",
-        }
-        for key in ("cubes", "edges", "count", "density", "min_pairwise_distance"):
-            assert data[key] == plain[key]
-
     def test_tampered_certificate_exits_4(self, tmp_path, capsys):
         cert = tmp_path / "cert.json"
         main(self.PACK + ["--out", str(cert)])
@@ -386,7 +374,6 @@ def test_bad_pack_radius_exits_2_before_any_lattice_work(radius, monkeypatch, ca
     assert captured.out == "" and "radius must be positive and finite" in captured.err
 
 
-# the same one-liner runs in CI's console script smoke test
 NO_SCIPY_ON_IMPORT = (
     "import sys; from superpack.cli import build_parser; "
     "build_parser().parse_args(['pack', '--p', '1.5', '--cuts', '0,1,2', '--R', '8', '--eps', '0.05']); "

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 
 import superpack.geometry as geometry
 from superpack.errors import InputError
@@ -298,7 +298,6 @@ class TestLogGamma:
                      + [d / p + 1.0 for d in range(1, 600) for p in np.linspace(1.0, 2.0, 201)])
 
     def test_bit_identical_to_scipy(self):
-        special = pytest.importorskip("scipy.special")
         xs = np.concatenate([1.0 + 0.005 * np.arange(399_801), _branch_edges(), self.FORMS])
         got = np.array([geometry._lgamma(float(x)) for x in xs])
         off = np.flatnonzero(got != special.gammaln(xs))
