@@ -240,12 +240,12 @@ def norm_batch(X, space: SpaceParams) -> np.ndarray:
         raise InputError(f"vector length {X.shape[-1]} does not match n={space.n}")
     if space.p == 2.0:
         return np.sqrt(np.einsum("...i,...i->...", X, X))
-    sq = X * X
     if space.blocks.m == 1:
-        block = np.sqrt(sq.sum(axis=-1))
-        return block
-    bs = np.add.reduceat(sq, space.blocks.starts, axis=-1)
-    bn = np.sqrt(bs)
+        return np.sqrt((X * X).sum(axis=-1))
+    if space.blocks.m == space.n:  # the lp norm: sqrt(fl(x*x)) is |x| in range
+        bn = np.abs(X)
+    else:
+        bn = np.sqrt(np.add.reduceat(X * X, space.blocks.starts, axis=-1))
     if space.p == 1.0:
         return bn.sum(axis=-1)
     return np.power(np.power(bn, space.p).sum(axis=-1), 1.0 / space.p)
@@ -341,14 +341,10 @@ class _CellTable:
             k += min(max(int((v - self.lo) / self.h), 0), self.ncell - 1) * w
         return k
 
-    def candidates(self, y):
-        """The centres in the neighbour cells of one point ``y``."""
-        cand = self.slots[self.nbr[self.cell(y)]].ravel()
-        return cand[cand >= 0]
-
     def near(self, P):
         """(i, j) for every centre j in a neighbour cell of row i of P."""
-        cand = self.slots[self.nbr[self.coords(P) @ self.weights]].reshape(len(P), -1)
+        width = self.nbr.shape[1] * self.slots.shape[1]  # explicit, so that P may be empty
+        cand = self.slots[self.nbr[self.coords(P) @ self.weights]].reshape(len(P), width)
         i, k = np.nonzero(cand >= 0)
         return i, cand[i, k]
 

@@ -63,6 +63,7 @@ __all__ = [
 _TAIL_CUTOFF = 1e-15
 FV_PROBES = 64  # free-volume probe points per probed step
 FV_STRIDE = 8  # probe every FV_STRIDE-th recorded step
+BLOCK = 64  # chain steps drawn and screened together
 VALIDATE_EVERY = 4096  # accepted moves between full hard-core rechecks
 
 
@@ -376,7 +377,8 @@ class ChainEstimate:
     window, fv_hat the probe estimate of the free-volume fraction, and
     var_count the sample variance of the count series (nan below two
     recorded steps). Standard errors come from 32 batch means. Counters
-    satisfy accepted_births + accepted_deaths + rejections = steps.
+    satisfy accepted_births + accepted_deaths + rejections = steps, and
+    births_blocked counts the rejections made by the exclusion screen.
     """
 
     alpha_hat: float
@@ -390,6 +392,7 @@ class ChainEstimate:
     burn_in: int
     accepted_births: int
     accepted_deaths: int
+    births_blocked: int
     seed: int
     final_count: int
     trace: dict | None = field(default=None, compare=False, repr=False)
@@ -398,7 +401,7 @@ class ChainEstimate:
     def __post_init__(self):
         if not (self.alpha_hat >= 0 and 0.0 <= self.fv_hat <= 1.0):
             raise ComputationError("chain summary out of range")
-        if self.rejections < 0:
+        if not 0 <= self.births_blocked <= self.rejections:
             raise ComputationError("move counters went inconsistent")
 
     @property
@@ -431,12 +434,6 @@ def _batch_var_se(series: np.ndarray, nbatch: int = 32) -> float:
     return float(bv.std(ddof=1) / math.sqrt(nbatch))
 
 
-def _sample_one(region, space, rng):
-    if space.n == 1 and isinstance(region, SuperballRegion):  # the interval is the ball
-        return rng.uniform(-region.radius, region.radius, 1)
-    return region.sample(space, rng, 1)[0]
-
-
 def run_chain(
     params: ModelParams,
     steps: int,
@@ -450,20 +447,30 @@ def run_chain(
     Each step flips a fair coin. Insertion draws a uniform point of the
     region and, when it violates no exclusion, accepts with probability
     min(1, lam V / (t+1)); deletion picks a uniform existing center and
-    accepts with min(1, t / (lam V)). The chain starts empty. The
-    schedule is fixed: estimates use the steps after ``burn_in``, and
-    free-volume probes run on every 8th of those (``FV_STRIDE``) with
-    64 fresh uniform points each (``FV_PROBES``). All randomness comes
-    from one generator in a fixed draw order, so results are
-    bit-for-bit reproducible from the seed.
+    accepts with min(1, t / (lam V)) (Geyer and Moller 1994). The chain
+    starts empty. The schedule is fixed: estimates use the steps after
+    ``burn_in``, and free-volume probes run on every 8th of those
+    (``FV_STRIDE``) with 64 fresh uniform points each (``FV_PROBES``).
 
-    Every accepted insertion has passed an exact exclusion screen
-    against all current centers, so the hard-core invariant holds by
-    induction after every accepted move; the configuration is
-    re-validated from scratch every 4096 accepted moves
-    (``VALIDATE_EVERY``) and always at the end, through
+    Steps run in blocks of b = min(64, steps left) (``BLOCK``). A block
+    draws from the one generator in this order: b coins (birth below
+    1/2), one ``region.sample`` with a proposal per birth coin, b
+    Metropolis uniforms, b death uniforms (a death picks center
+    min(floor(u t), t - 1)), and one ``region.sample`` with 64 points
+    for each probed step of the block, in step order. Unused draws are
+    discarded, so the law is that of the step-by-step kernel and the
+    run is bit-for-bit reproducible from the seed.
+
+    One screen per block finds each proposal's partners within the
+    exclusion distance among the block-start centers and the block's
+    earlier proposals. A proposal is blocked only by a partner alive at
+    its step: a block-start center until it is deleted, an earlier
+    proposal once accepted and until it is deleted. So every accepted
+    insertion clears all current centers, and the hard-core invariant
+    holds by induction; it is also re-validated from scratch every 4096
+    accepted moves (``VALIDATE_EVERY``) and at the end, through
     ``geometry.min_pairwise``. A probe is free when no center lies
-    within the exclusion distance.
+    within the exclusion distance at its step.
 
     The count and probe-hit series (-1 where no probe ran) are kept
     for every step; with ``collect_trace`` the estimate carries them,
@@ -471,8 +478,8 @@ def run_chain(
 
     Both screens go through one ``geometry._CellTable`` with cell side
     at least the exclusion, built at step 0 and kept in step with the
-    centers: an insertion gathers the centers of its 3^n neighbour
-    cells, the probes gather theirs in one batch, and only gathered
+    centers: a block's proposals, and a step's probes, gather the
+    centers of their 3^n neighbour cells in one batch, and only gathered
     centers get the exact distance test. Where the region leaves the
     table one cell (fewer than 3 cells per axis or 64 cells in all),
     both screens test all pairs instead. Cell pruning is exact
@@ -490,16 +497,14 @@ def run_chain(
     rng = np.random.default_rng(seed)
     table = _CellTable(space, region, excl)
     table = table if table.ncell > 1 else None  # one cell: both screens test all pairs
+    later, earlier = np.tril_indices(BLOCK, -1)  # proposal pairs, row-major
 
     centers = np.empty((64, n))
     t = 0
     births = 0
     deaths = 0
+    blocked = 0
     accepted_since_check = 0
-
-    def conflicted(y):
-        near = centers[:t] if table is None else centers[table.candidates(y)]
-        return len(near) > 0 and bool((distance_batch(near, y, space, region) < excl).any())
 
     count = np.empty(steps, dtype=np.int64)
     fv_probe_hits = np.full(steps, -1, dtype=np.int64)
@@ -507,26 +512,59 @@ def run_chain(
         tr_acc = np.zeros(steps, dtype=np.uint8)
         tr_birth = np.zeros(steps, dtype=np.uint8)
 
-    for step in range(steps):
-        birth = rng.random() < 0.5
-        accepted = False
-        if birth:
-            y = _sample_one(region, space, rng)
-            if not conflicted(y):
-                a = lamV / (t + 1)
-                if a >= 1.0 or rng.random() < a:
+    for s0 in range(0, steps, BLOCK):
+        b = min(BLOCK, steps - s0)
+        coins = rng.random(b) < 0.5
+        Y = region.sample(space, rng, int(coins.sum()))
+        u_acc = rng.random(b).tolist()
+        u_die = rng.random(b).tolist()
+        first = max(s0, burn_in)
+        first += -(first - burn_in) % FV_STRIDE  # the block's first probed step
+        probed = range(first, s0 + b, FV_STRIDE)
+        probes = region.sample(space, rng, FV_PROBES * len(probed)).reshape(-1, FV_PROBES, n)
+
+        # partners of each proposal: block-start centres (labels 0..t0-1)
+        # and earlier proposals k' (labels t0 + k')
+        t0, nb = t, len(Y)
+        if table is None:
+            pi, pj = np.repeat(np.arange(nb), t0), np.tile(np.arange(t0), nb)
+        else:
+            pi, pj = table.near(Y)
+        pairs = nb * (nb - 1) // 2
+        who = np.concatenate([pi, later[:pairs]])
+        partner = np.concatenate([centers[pj], Y[earlier[:pairs]]])
+        close = distance_batch(Y[who], partner, space, region) < excl
+        partners = {}
+        for k, j in zip(who[close].tolist(), np.concatenate([pj, earlier[:pairs] + t0])[close].tolist()):
+            partners.setdefault(k, []).append(j)
+        alive = [True] * t0 + [False] * nb  # by label
+        label = list(range(t0))  # label of the centre at each index
+
+        k = 0
+        for r, birth in enumerate(coins.tolist()):
+            step = s0 + r
+            accepted = False
+            if birth:
+                near = partners.get(k)
+                if near is not None and any(alive[j] for j in near):
+                    blocked += 1
+                elif u_acc[r] < lamV / (t + 1):  # u < 1: min(1, a) for free
                     if t == len(centers):
                         centers = np.concatenate([centers, np.empty_like(centers)])
-                    centers[t] = y
+                    centers[t] = y = Y[k]
                     if table is not None:
                         table.add(y)
+                    alive[t0 + k] = True
+                    label.append(t0 + k)
                     t += 1
                     births += 1
                     accepted = True
-        elif t > 0:
-            i = int(rng.integers(t))
-            a = t / lamV
-            if a >= 1.0 or rng.random() < a:
+                k += 1
+            elif t > 0 and u_acc[r] < t / lamV:
+                i = min(int(u_die[r] * t), t - 1)
+                alive[label[i]] = False
+                label[i] = label[t - 1]
+                label.pop()
                 centers[i] = centers[t - 1]
                 if table is not None:
                     table.remove_swap(i)
@@ -534,28 +572,28 @@ def run_chain(
                 deaths += 1
                 accepted = True
 
-        if accepted:
-            accepted_since_check += 1
-            if accepted_since_check >= VALIDATE_EVERY:
-                Configuration(centers[:t].copy(), params).validate()
-                accepted_since_check = 0
-
-        count[step] = t
-        if step >= burn_in and (step - burn_in) % FV_STRIDE == 0:
-            probes = region.sample(space, rng, FV_PROBES)
-            if t == 0:
-                free = FV_PROBES
-            elif table is not None:
-                pi, pj = table.near(probes)
-                hit = pi[distance_batch(probes[pi], centers[pj], space, region) < excl]
-                free = FV_PROBES - len(set(hit.tolist()))
-            else:
-                d = distance_batch(probes[:, None, :], centers[None, :t], space, region)
-                free = int((d.min(axis=1) >= excl).sum())
-            fv_probe_hits[step] = free
+            if accepted:
+                accepted_since_check += 1
+                if accepted_since_check >= VALIDATE_EVERY:
+                    Configuration(centers[:t].copy(), params).validate()
+                    accepted_since_check = 0
+            count[step] = t
+            if step in probed:
+                P = probes[(step - first) // FV_STRIDE]
+                if t == 0:
+                    free = FV_PROBES
+                elif table is not None:
+                    pi, pj = table.near(P)
+                    hit = pi[distance_batch(P[pi], centers[pj], space, region) < excl]
+                    free = FV_PROBES - len(set(hit.tolist()))
+                else:
+                    d = distance_batch(P[:, None, :], centers[None, :t], space, region)
+                    free = int((d.min(axis=1) >= excl).sum())
+                fv_probe_hits[step] = free
+            if collect_trace:
+                tr_acc[step] = accepted
         if collect_trace:
-            tr_acc[step] = accepted
-            tr_birth[step] = birth
+            tr_birth[s0 : s0 + b] = coins
 
     final = Configuration(centers[:t].copy(), params)
     final.validate()
@@ -574,6 +612,7 @@ def run_chain(
         burn_in=burn_in,
         accepted_births=births,
         accepted_deaths=deaths,
+        births_blocked=blocked,
         seed=int(seed),
         final_count=t,
         trace=(
@@ -677,6 +716,7 @@ def merge_estimates(estimates: list[ChainEstimate]) -> ChainEstimate:
         burn_in=estimates[0].burn_in,
         accepted_births=sum(e.accepted_births for e in estimates),
         accepted_deaths=sum(e.accepted_deaths for e in estimates),
+        births_blocked=sum(e.births_blocked for e in estimates),
         seed=estimates[0].seed,
         final_count=estimates[-1].final_count,
     )

@@ -112,6 +112,18 @@ class TestNorm:
         ref = float(np.sum(np.abs(x) ** p) ** (1 / p))
         assert norm(x, space) == pytest.approx(ref, rel=1e-12, abs=1e-300)
 
+    @given(st.one_of(st.just(1.0), st.floats(1.0, 2.0, exclude_max=True)), st.integers(2, 8), st.data())
+    def test_unit_blocks_take_abs_bit_for_bit(self, p, n, data):
+        # every block of size one: |x| stands in for sqrt(x*x) over the whole
+        # documented range and at zero (p = 2 takes the Euclidean path)
+        space = SpaceParams.create(p, tuple(range(n + 1)))
+        coord = st.builds(lambda s, m: s * m, st.sampled_from([-1.0, 1.0]),
+                          st.one_of(st.just(0.0), st.floats(1e-150, 1e150)))
+        X = np.array(data.draw(st.lists(st.lists(coord, min_size=n, max_size=n), min_size=1, max_size=6)))
+        bn = np.sqrt(np.add.reduceat(X * X, space.blocks.starts, axis=-1))
+        ref = bn.sum(axis=-1) if p == 1.0 else np.power(np.power(bn, p).sum(axis=-1), 1.0 / p)
+        assert norm_batch(X, space).tobytes() == ref.tobytes()
+
     @given(block_specs(max_n=8), st.data())
     def test_whole_block_matches_euclidean(self, blocks, data):
         space = SpaceParams.create(1.37, (0, blocks.n))

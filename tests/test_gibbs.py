@@ -248,6 +248,9 @@ class TestRunChain:
         est = run_chain(ring(20.0, 1.0), steps=5_000, burn_in=0, seed=5)
         assert est.accepted_births + est.accepted_deaths + est.rejections == est.steps
         assert est.rejections >= 0
+        # a blocked birth is one kind of rejection
+        assert 0 < est.births_blocked <= est.steps - est.accepted_births - est.accepted_deaths
+        assert est.to_json()["births_blocked"] == est.births_blocked
 
     def test_validate_every_accepted_move(self, monkeypatch):
         monkeypatch.setattr(gibbs, "VALIDATE_EVERY", 1)
@@ -437,11 +440,11 @@ class TestCellGridScreen:
     # probe screens and validation; the cell grid must match bit for bit
     GOLDEN = [
         ((1.5, (0, 1, 2)), "torus", 30, 5.0, 8000, 1000, 21, 200,
-         "13e35df98e613c8fcb2a09a53651f7a913854c3f0e18f3e97be6c6fb919911e9"),
+         "a200a8ac92e0ea8aa90f9be0e988eabbcab138cc10efe631eacd4d5962a1423f"),
         ((1.2, (0, 1, 3)), "torus", 10, 4.0, 8000, 1000, 22, 300,
-         "e2614b71f8fcc058abab1b8351147fa5ca0ac9f9c615fbb51a6dd1b612835d13"),
+         "664ca8abd3429d7a716054ea1e7599e362a1530b579ad375bd031cca0404b232"),
         ((1.3, (0, 1)), "ball", 40, 2.0, 6000, 500, 23, 100,
-         "2e6f72844dc248a5822d2f54dd0b3b80c8f8e328e7d08dc716bc7da22d141f87"),
+         "956c2d3e7c7b33f5c355a2912e7e21bc2eafdafd9dd94602fd6912883ef182e0"),
     ]
 
     @pytest.mark.parametrize("case", GOLDEN, ids=["torus-2d", "torus-3d", "ball-1d"])
@@ -522,7 +525,7 @@ class TestCellTable:
         brute = distance_batch(probes[:, None, :], centers[None], space, region)
         pi, pj = table.near(probes)
         for r, y in enumerate(probes):
-            cand = table.candidates(y)
+            _, cand = table.near(y[None])  # one point's gather, as in a batch
             assert set(cand.tolist()) == set(pj[pi == r].tolist())
             assert set(np.flatnonzero(brute[r] <= excl).tolist()) <= set(cand.tolist())
             conflicted = cand.size > 0 and bool((distance_batch(centers[cand], y, space, region) < excl).any())
@@ -533,6 +536,101 @@ class TestCellTable:
             assert loaded.load(centers)
             li, lj = loaded.near(probes)
             assert sorted(zip(li.tolist(), lj.tolist())) == sorted(zip(pi.tolist(), pj.tolist()))
+
+
+def _replay(params, steps, burn_in, seed):
+    """``run_chain``'s documented draw layout, replayed one step at a time.
+
+    The live centres sit in a plain list, deleted by swap with the last
+    one as the chain's index draw assumes, and every screen tests all
+    pairs: no cell table and no batched screen. Returns the trace, the
+    blocked births, the births blocked only by centres born earlier in
+    their block, and the free births close to a centre deleted earlier in
+    their block.
+    """
+    space, region, excl = params.space, params.region, params.exclusion
+    lamV = params.fugacity * params.volume
+    rng = np.random.default_rng(seed)
+    live, born = [], []  # born: the block in which each live centre was born
+    trace = {"count": np.empty(steps, dtype=np.int64), "fv_probe_hits": np.full(steps, -1, dtype=np.int64),
+             "accepted": np.zeros(steps, dtype=np.uint8), "birth": np.zeros(steps, dtype=np.uint8)}
+    blocked = same_block = void = 0
+    for s0 in range(0, steps, gibbs.BLOCK):
+        b = min(gibbs.BLOCK, steps - s0)
+        coins = rng.random(b) < 0.5
+        proposals = iter(region.sample(space, rng, int(coins.sum())))
+        u_acc, u_die = rng.random(b), rng.random(b)
+        probed = [s for s in range(s0, s0 + b) if s >= burn_in and (s - burn_in) % gibbs.FV_STRIDE == 0]
+        probes = iter(region.sample(space, rng, gibbs.FV_PROBES * len(probed)).reshape(len(probed), gibbs.FV_PROBES, space.n))
+        gone = []  # centres deleted earlier in this block
+        for step in range(s0, s0 + b):
+            r, t = step - s0, len(live)
+            trace["birth"][step] = coins[r]
+            if coins[r]:
+                y = next(proposals)
+                close = np.flatnonzero(distance_batch(np.reshape(live, (t, space.n)), y, space, region) < excl)
+                if len(close):
+                    blocked += 1
+                    same_block += all(born[k] == s0 for k in close)
+                else:
+                    void += bool(gone) and bool((distance_batch(np.array(gone), y, space, region) < excl).any())
+                    if u_acc[r] < lamV / (t + 1):
+                        live.append(y)
+                        born.append(s0)
+                        trace["accepted"][step] = 1
+            elif t and u_acc[r] < t / lamV:
+                i = min(int(u_die[r] * t), t - 1)
+                gone.append(live[i])
+                live[i], born[i] = live[-1], born[-1]
+                live.pop()
+                born.pop()
+                trace["accepted"][step] = 1
+            trace["count"][step] = len(live)
+            if step in probed:
+                P = next(probes)
+                d = distance_batch(P[:, None, :], np.reshape(live, (1, len(live), space.n)), space, region)
+                trace["fv_probe_hits"][step] = int((d.min(axis=1, initial=np.inf) >= excl).sum())
+    return trace, blocked, same_block, void
+
+
+class TestBlockLayout:
+    """``run_chain`` against a step-by-step replay of its draw layout."""
+
+    CASES = {  # (p, cuts), region, size in r_unit, activity, steps, burn_in, seed, table?
+        "torus-2d-table": ((1.5, (0, 1, 2)), "torus", 30, 5.0, 3000, 1000, 31, True),
+        "torus-3d-one-cell": ((1.2, (0, 1, 3)), "torus", 6, 4.0, 2000, 300, 32, False),
+        "ball-1d": ((1.3, (0, 1)), "ball", 40, 2.0, 2000, 500, 33, False),
+        "ball-2d": ((2.0, (0, 2)), "ball", 30, 3.0, 2000, 500, 34, True),
+        "dense-one-cell": ((1.5, (0, 1, 2)), "torus", 8, 40.0, 3000, 100, 35, False),
+        "dense-table": ((1.5, (0, 1, 2)), "torus", 20, 40.0, 3000, 100, 36, True),
+        "under-one-block": ((1.5, (0, 1, 2)), "torus", 30, 5.0, 40, 5, 37, True),
+        "partial-last-block": ((1.5, (0, 1, 2)), "torus", 30, 5.0, 203, 70, 38, True),
+    }
+
+    @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+    def test_matches_step_by_step_replay(self, case):
+        self._check(case)
+
+    def test_block_without_a_birth(self):
+        # the 3-step last block of this seed draws no proposal at all
+        trace = self._check(((1.5, (0, 1, 2)), "torus", 30, 5.0, 67, 10, 6, True))
+        assert not trace["birth"][64:].any()
+
+    @staticmethod
+    def _check(case):
+        (p, cuts), kind, size, lam, steps, burn, seed, has_table = case
+        space = SpaceParams.create(p, cuts)
+        region = (TorusRegion if kind == "torus" else SuperballRegion)(size * space.r_unit)
+        params = ModelParams(space, region, lam)
+        assert (_CellTable(space, region, params.exclusion).ncell > 1) == has_table
+        est = run_chain(params, steps, burn, seed, collect_trace=True)
+        trace, blocked, same_block, void = _replay(params, steps, burn, seed)
+        for key in trace:
+            assert est.trace[key].tobytes() == trace[key].tobytes(), key
+        assert est.births_blocked == blocked
+        if lam > 10:  # both in-block cases the batched screen must get right
+            assert same_block > 0 and void > 0
+        return trace
 
 
 class TestAlphaCurve:
@@ -590,6 +688,7 @@ class TestAlphaCurve:
         exact = exact_moments(params)["alpha"]
         assert abs(merged.alpha_hat - exact) <= 4 * merged.alpha_se
         assert merged.steps == 80_000
+        assert merged.births_blocked == sum(e.births_blocked for e in ests)
 
     def test_merge_rejects_mixed_lengths(self):
         params = ring(20.0, 1.0)
