@@ -141,15 +141,10 @@ def cmd_volume(args) -> int:
 
 def _trace_csv(estimate, config_line: str) -> str:
     # the trace spans every step; estimates use only the post-burn-in part
-    trace = estimate.trace
+    columns = [estimate.trace[k].tolist() for k in ("count", "fv_probe_hits", "accepted", "birth")]
     rows = ["# config=" + config_line, "step,count,fv_probe_hits,accepted,birth"]
-    count = trace["count"]
-    fv = trace["fv_probe_hits"]
-    acc = trace["accepted"]
-    birth = trace["birth"]
-    for i in range(len(count)):
-        probe = "" if fv[i] < 0 else str(int(fv[i]))
-        rows.append(f"{i},{count[i]},{probe},{int(acc[i])},{int(birth[i])}")
+    for i, (count, probe, acc, birth) in enumerate(zip(*columns)):
+        rows.append(f"{i},{count},{'' if probe < 0 else probe},{acc:d},{birth:d}")
     return "\n".join(rows) + "\n"
 
 

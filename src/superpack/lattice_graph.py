@@ -12,7 +12,8 @@ The graph is never materialised: representatives sit on the grid
 (idx + 0.5) eps, so a vertex's neighbours are its translates by one
 offset stencil, looked up in a dense cube table. Offsets clearly shorter
 than 2r join every translate; those within a rounding band of 2r get the
-exact per-pair test. Degrees stream offset by offset in O(N) memory.
+exact per-pair test. A vertex's degree over a run of consecutive table
+shifts is a difference of two prefix sums of the table's occupancy.
 
 Quantities that recur below:
 
@@ -36,6 +37,7 @@ import tempfile
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -63,6 +65,7 @@ __all__ = [
 
 CLAIM_RTOL = 1e-12  # claimed vs recomputed density and minimum distance in verify_packing
 MAX_FLOPS = 5e9  # sum(deg^2) above which local_sparsity_stats refuses a graph
+SWEEP_CHUNK = 4096  # vertices per list the greedy sweep walks, to bound its Python ints
 
 
 @dataclass(frozen=True)
@@ -210,21 +213,38 @@ class GeoGraph:
     def _close(self, i, j) -> np.ndarray:
         return norm_batch(self.vertices[i] - self.vertices[j], self.lattice.params.space) < 2.0 * self.radius
 
+    def _along(self, shift, exact: bool):
+        """(mask of vertices with an edge along ``shift``, their partners)."""
+        j = self.table[self.codes + shift]
+        hit = j >= 0
+        if exact:
+            i = np.flatnonzero(hit)
+            hit[i] = self._close(i, j[i])
+        return hit, j[hit]
+
     def half_edges(self):
         """Every edge once: per half-stencil offset, (mask of vertices with an edge along it, partners)."""
-        half = [(s, False) for s in self.sure[: len(self.sure) // 2]]
-        for shift, exact in half + [(s, True) for s in self.band[: len(self.band) // 2]]:
-            j = self.table[self.codes + shift]
-            hit = j >= 0
-            if exact:
-                i = np.flatnonzero(hit)
-                hit[i] = self._close(i, j[i])
-            yield hit, j[hit]
+        for s in self.sure[: len(self.sure) // 2]:
+            yield self._along(s, False)
+        for s in self.band[: len(self.band) // 2]:
+            yield self._along(s, True)
 
     @cached_property
     def degrees(self) -> np.ndarray:
+        """Sure offsets by run sums, band offsets by the per-pair test.
+
+        The sorted sure shifts split into maximal runs [a, b] of consecutive
+        codes, and a vertex at code c has cum[c + b + 1] - cum[c + a] listed
+        cubes in a run, where cum counts the occupied codes below each code.
+        """
+        cum = np.concatenate(([0], np.cumsum(self.table >= 0)))
+        shifts = np.sort(self.sure)
         deg = np.zeros(self.N, dtype=np.int64)
-        for hit, j in self.half_edges():
+        for run in np.split(shifts, np.flatnonzero(np.diff(shifts) != 1) + 1):
+            if len(run):
+                deg += cum[self.codes + (run[-1] + 1)] - cum[self.codes + run[0]]
+        for s in self.band[: len(self.band) // 2]:
+            hit, j = self._along(s, True)
             deg += hit
             deg[j] += 1  # one offset never maps two vertices to one
         return deg
@@ -237,14 +257,40 @@ class GeoGraph:
     def edge_count(self) -> int:
         return int(self.degrees.sum()) // 2
 
+    def independent(self, vertices) -> bool:
+        """True when no two of ``vertices`` are adjacent.
+
+        An adjacent pair has one member whose partner lies along a half
+        stencil offset, so the half stencils are gathered from every vertex
+        in chunks; band partners take the exact per-pair test.
+        """
+        vertices = np.asarray(vertices, dtype=np.int64)
+        mine = np.zeros(len(self.table), dtype=bool)
+        mine[self.codes[vertices]] = True
+        sure, band = self.sure[: len(self.sure) // 2], self.band[: len(self.band) // 2]
+        step = max(1, 2**18 // max(1, len(sure) + len(band)))
+        for a in range(0, len(vertices), step):
+            v = vertices[a : a + step]
+            c = self.codes[v][:, None]
+            if mine[c + sure].any():
+                return False
+            row, col = np.nonzero(mine[c + band])
+            if len(row) and self._close(v[row], self.table[c[row, 0] + band[col]]).any():
+                return False
+        return True
+
+    def _band_row(self, v: int) -> np.ndarray:
+        """Neighbours of v along band offsets, by the per-pair test."""
+        near = self.table[self.codes[v] + self.band]
+        near = near[near >= 0]
+        return near[self._close(v, near)]
+
     def neighbor_row(self, v: int) -> np.ndarray:
         """Sorted neighbours of v, gathered from the full stencil."""
         row = self.table[self.codes[v] + self.sure]
         row = row[row >= 0]
         if len(self.band):
-            near = self.table[self.codes[v] + self.band]
-            near = near[near >= 0]
-            row = np.concatenate([row, near[self._close(v, near)]])
+            row = np.concatenate([row, self._band_row(v)])
         return np.sort(row)
 
     def degree_bound(self) -> float:
@@ -357,9 +403,9 @@ def greedy_independent_set(graph: GeoGraph, order_rule: str = "mindeg") -> np.nd
     """Maximal independent set by one greedy sweep.
 
     ``mindeg`` sweeps vertices by ascending degree (ties by index),
-    ``lex`` by index. The result is verified independent by direct
-    adjacency inspection and carries the classical maximality guarantee
-    of at least N/(max_degree + 1) vertices, asserted.
+    ``lex`` by index. The result is rechecked by ``GeoGraph.independent``
+    and carries the classical maximality guarantee of at least
+    N/(max_degree + 1) vertices, asserted.
     """
     if order_rule == "mindeg":
         order = np.argsort(graph.degrees, kind="stable")
@@ -368,19 +414,21 @@ def greedy_independent_set(graph: GeoGraph, order_rule: str = "mindeg") -> np.nd
     else:
         raise InputError(f"unknown order rule {order_rule!r}")
 
-    blocked = np.zeros(graph.N, dtype=bool)
+    # blocked flags by table code: a chosen vertex marks its sure translates
+    # without filtering empty cells; band partners take the per-pair test
+    blocked = np.zeros(len(graph.table), dtype=bool)
     chosen = []
-    for v in order:
-        if not blocked[v]:
-            chosen.append(int(v))
-            blocked[graph.neighbor_row(v)] = True
-    chosen = np.array(sorted(chosen), dtype=np.int64)
-
-    in_set = np.zeros(graph.N, dtype=bool)
-    in_set[chosen] = True
-    for v in chosen:
-        if in_set[graph.neighbor_row(v)].any():
-            raise ComputationError("greedy result is not independent")
+    order_codes = graph.codes[order]
+    for a in range(0, graph.N, SWEEP_CHUNK):
+        for c in order_codes[a : a + SWEEP_CHUNK].tolist():
+            if not blocked[c]:
+                chosen.append(c)
+                blocked[c + graph.sure] = True
+                if len(graph.band):
+                    blocked[graph.codes[graph._band_row(graph.table[c])]] = True
+    chosen = np.sort(graph.table[np.array(chosen, dtype=np.int64)])
+    if not graph.independent(chosen):
+        raise ComputationError("greedy result is not independent")
     if graph.N and len(chosen) * (graph.max_degree + 1) < graph.N:
         raise ComputationError("greedy set fell below the maximality guarantee")
     return chosen
@@ -407,7 +455,7 @@ class PackingCertificate:
             "cuts": list(self.space.blocks.cuts),
             "radius": self.radius,
             "R": self.R,
-            "centers": [[float(c) for c in row] for row in np.atleast_2d(self.centers)],
+            "centers": np.atleast_2d(np.asarray(self.centers, dtype=np.float64)).tolist(),
             "min_pairwise_distance": self.min_pairwise_distance,
             "density": self.density,
         }
@@ -487,17 +535,34 @@ def write_text(path, text: str) -> None:
         raise
 
 
-def _finite_or_null(obj):
-    if isinstance(obj, dict):
-        return {k: _finite_or_null(v) for k, v in obj.items()}
+def _encode(obj, indent: str) -> str:
+    """``obj`` as json.dumps(indent=1, sort_keys=True) writes it at ``indent``."""
+    if isinstance(obj, float):
+        return float.__repr__(obj) if math.isfinite(obj) else "null"
+    inner = indent + " "
     if isinstance(obj, (list, tuple)):
-        return [_finite_or_null(v) for v in obj]
-    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+        # floats, the bulk of a certificate, are written without a call
+        items = [(float.__repr__(v) if math.isfinite(v) else "null") if type(v) is float
+                 else _encode(v, inner) for v in obj]
+        brackets = "[]"
+    elif isinstance(obj, dict):
+        items = [encode_basestring_ascii(k) + ": " + _encode(v, inner) for k, v in sorted(obj.items())]
+        brackets = "{}"
+    else:
+        return json.dumps(obj)  # str, int, bool or None; anything else raises TypeError
+    if not items:
+        return brackets
+    return brackets[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + indent + brackets[1]
 
 
 def json_text(payload: dict) -> str:
-    """Indented, key-sorted RFC 8259 JSON; non-finite floats become null."""
-    return json.dumps(_finite_or_null(payload), indent=1, sort_keys=True, allow_nan=False) + "\n"
+    """Indented, key-sorted RFC 8259 JSON; non-finite floats become null.
+
+    The bytes are those of ``json.dumps(payload, indent=1, sort_keys=True)``
+    with every non-finite float replaced by None first, written without the
+    pure-Python encoder that ``json.dumps`` falls back to when indenting.
+    """
+    return _encode(payload, "") + "\n"
 
 
 def save_certificate(cert: PackingCertificate, path, meta: dict | None = None) -> None:

@@ -1,6 +1,7 @@
 """End-to-end command line checks, run in-process through main()."""
 
 import concurrent.futures
+import hashlib
 import json
 import multiprocessing
 import os
@@ -120,6 +121,13 @@ class TestSimulate:
         summary = strict_loads((tmp_path / "run.json").read_text())
         assert summary["estimate"]["alpha_hat"] >= 0
         assert summary["replica_seeds"] == [5]
+
+    def test_trace_csv_digest(self, tmp_path):
+        # SHA-256 of the CSV trace as the per-element writer produced it
+        out = tmp_path / "run.csv"
+        assert main(self.ARGS + ["--out", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "685f5aead3be429f224a0afc0200dbbe15f24795affcab753e975e5c4dce081c"
 
     def test_same_seed_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

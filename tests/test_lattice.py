@@ -3,11 +3,12 @@
 import dataclasses
 import hashlib
 import json
+import math
 
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import spaces
@@ -367,10 +368,9 @@ class TestGreedyIndependentSet:
         g = build_graph(lat)
         for rule in ("mindeg", "lex"):
             mis = greedy_independent_set(g, rule)
+            assert g.independent(mis)
             in_set = np.zeros(g.N, dtype=bool)
             in_set[mis] = True
-            for v in mis:
-                assert not in_set[g.neighbor_row(int(v))].any()
             # maximality: every vertex outside has a chosen neighbor
             for v in range(g.N):
                 if not in_set[v]:
@@ -382,6 +382,89 @@ class TestGreedyIndependentSet:
         g = build_graph(lat)
         with pytest.raises(InputError):
             greedy_independent_set(g, "random")
+
+
+class TestIndependent:
+    def band_graph(self):
+        # p = 2 and 2r = 5 eps: offsets such as (5, 0) and (3, 4) sit exactly
+        # at 2r, inside the rounding band, so rounding decides each pair
+        return build_graph(build_lattice(3.0, 0.1, SpaceParams.create(2.0, (0, 2))), radius=5 * 0.1 / 2.0)
+
+    def translates(self, g, shifts):
+        """Every (v, u, adjacent) with u a listed cube at a shift of v."""
+        for v in range(g.N):
+            row = set(g.neighbor_row(v).tolist())
+            for u in g.table[g.codes[v] + shifts].tolist():
+                if u >= 0:
+                    yield v, u, u in row
+
+    def test_pair_along_a_sure_offset(self):
+        g = self.band_graph()
+        v, u, adjacent = next(self.translates(g, g.sure))
+        assert adjacent
+        assert not g.independent([v, u]) and not g.independent([u, v])
+        assert g.independent([v]) and g.independent([])
+
+    def test_pairs_along_band_offsets_take_the_exact_test(self):
+        g = self.band_graph()
+        assert len(g.band)
+        pair = {}
+        for v, u, adjacent in self.translates(g, g.band):
+            pair.setdefault(adjacent, [v, u])
+        assert set(pair) == {True, False}  # rounding falls on both sides of 2r
+        assert not g.independent(pair[True])
+        assert g.independent(pair[False])
+
+    def test_greedy_set_plus_a_vertex_is_not_independent(self):
+        g = self.band_graph()
+        mis = greedy_independent_set(g)
+        outside = np.setdiff1d(np.arange(g.N), mis)
+        for v in outside[:: len(outside) // 40]:
+            assert not g.independent(np.append(mis, v))
+
+    def test_greedy_refuses_a_set_that_is_not_independent(self, monkeypatch):
+        g = build_graph(small_plane_lattice(R_mult=2.5, eps=0.12))
+        monkeypatch.setattr(GeoGraph, "independent", lambda self, vertices: False)
+        with pytest.raises(ComputationError, match="not independent"):
+            greedy_independent_set(g)
+
+
+def _null_mapped(x):
+    if isinstance(x, dict):
+        return {k: _null_mapped(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_null_mapped(v) for v in x]
+    return None if isinstance(x, float) and not math.isfinite(x) else x
+
+
+_json_leaves = st.one_of(
+    st.floats(),  # with +-inf, nan, -0.0 and subnormals
+    st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 5e-324, -2.5e-320, 1e-310]),
+    st.integers(-(2**70), 2**70),
+    st.booleans(),
+    st.none(),
+    st.text(),  # non-ASCII included
+)
+_json_trees = st.recursive(
+    _json_leaves,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), kids, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+class TestJsonText:
+    @settings(max_examples=400)
+    @given(_json_trees)
+    @example({"": [], "a": {}, "b": [[], {}, ([],), [{"c": {}}]], "\u00e9\u4e2d": ["\u2603", 2**64 + 1, -(2**63) - 1]})
+    @example([[[[]]], {"x": ({},)}])
+    @example(float("nan"))
+    def test_matches_json_dumps(self, x):
+        expected = json.dumps(_null_mapped(x), indent=1, sort_keys=True, allow_nan=False) + "\n"
+        assert lattice_graph.json_text(x) == expected
 
 
 class TestCertificates:
