@@ -18,6 +18,7 @@ verification that returned "invalid".
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -308,9 +309,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # one argparse tree per process; build_parser() stays uncached
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         for name, least in (("seed", 0), ("mc", 0), ("replicas", 1), ("threads", 1)):
             if getattr(args, name, least) < least:

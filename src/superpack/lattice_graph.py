@@ -118,29 +118,35 @@ class Lattice:
     def N(self) -> int:
         return len(self.indices)
 
+    @cached_property
+    def box(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-axis (lowest, highest) index, one column at a time."""
+        return (np.array([c.min() for c in self.indices.T]), np.array([c.max() for c in self.indices.T]))
+
     def representatives(self) -> np.ndarray:
         return (self.indices + 0.5) * self.params.eps
 
-    def table(self, pad=0) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def table(self, pad=0) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Dense cube table over the index box widened by ``pad`` per side.
 
-        Returns (rows, lo, dims, strides): rows[(idx - lo) @ strides] is the
-        lattice row of the cube with index idx, or -1, for idx in the box
-        lo + [0, dims). That is prod(dims) int64 entries; the index box lies
-        in the (2 ceil(R/eps) + 2)^n box that ``build_lattice`` sweeps, and
-        ``build_graph`` pads by at most its extent, so at most 3^n times that.
+        Returns (rows, lo, dims, strides, codes): rows[(idx - lo) @ strides] is
+        the lattice row of the cube with index idx, or -1, for idx in the box
+        lo + [0, dims), and codes[i] is that code for cube i. That is prod(dims)
+        int64 entries; the index box lies in the (2 ceil(R/eps) + 2)^n candidate
+        box, and ``build_graph`` pads by at most its extent, so at most 3^n times that.
         """
-        lo = self.indices.min(axis=0) - pad
-        dims = self.indices.max(axis=0) + pad + 1 - lo
+        lo = self.box[0] - pad
+        dims = self.box[1] + pad + 1 - lo
         strides = np.cumprod(np.append(1, dims[:0:-1]))[::-1]
+        codes = sum((column - a) * s for column, a, s in zip(self.indices.T, lo, strides))
         rows = np.full(int(np.prod(dims)), -1, dtype=np.int64)
-        rows[(self.indices - lo) @ strides] = np.arange(self.N)
-        return rows, lo, dims, strides
+        rows[codes] = np.arange(self.N)
+        return rows, lo, dims, strides, codes
 
     def locate(self, points: np.ndarray) -> np.ndarray:
         """Row index of the cube holding each point, -1 when none does."""
         idx = np.floor(np.atleast_2d(points) / self.params.eps).astype(np.int64)
-        rows, lo, dims, strides = self.table()
+        rows, lo, dims, strides, _ = self.table()
         inside = ((idx >= lo) & (idx < lo + dims)).all(axis=1)
         out = np.full(len(idx), -1, dtype=np.int64)
         out[inside] = rows[(idx[inside] - lo) @ strides]
@@ -148,29 +154,41 @@ class Lattice:
 
 
 def build_lattice(R: float, eps: float, space: SpaceParams) -> Lattice:
-    """Enumerate the grid cubes lying entirely inside B(0, R).
+    """Enumerate the grid cubes lying entirely inside B(0, R), by columns.
 
     Containment is exact: by coordinatewise monotonicity the norm over
     a cube is maximized at its farthest-from-zero corner, so one norm
-    evaluation per cube decides it.
+    evaluation per cube decides it. On the last axis that corner,
+    max(|k eps|, |(k + 1) eps|), is symmetric about k = -1/2 and grows with
+    |k + 1/2|, so over each prefix of the other n - 1 indices the inside
+    cubes are k in [-K - 1, K]. One bisection over all (2 ceil(R/eps) + 2)^(n-1)
+    prefixes finds every K in about log2(R/eps) norm batches; the rows are
+    written in lexicographic order, last axis fastest, in O(N) memory.
     """
     params = LatticeParams(space, float(R), float(eps))
     n = space.n
-    kmax = int(math.ceil(R / eps)) + 1
-    axis = np.arange(-kmax, kmax, dtype=np.int64)
+    kmax = int(math.ceil(R / eps)) + 1  # candidate indices are -kmax .. kmax - 1 on every axis
+    prefix = np.indices((2 * kmax,) * (n - 1)).reshape(n - 1, (2 * kmax) ** (n - 1)).T - kmax
+    corner = np.empty((len(prefix), n))
+    corner[:, :-1] = np.maximum(np.abs(prefix * eps), np.abs((prefix + 1) * eps))
 
-    rows = []
-    # slab along axis 0 to bound peak memory for n = 3
-    slab = max(1, int(4_000_000 // max(1, len(axis) ** (n - 1))))
-    for start in range(0, len(axis), slab):
-        chunk = axis[start : start + slab]
-        grids = np.meshgrid(chunk, *([axis] * (n - 1)), indexing="ij")
-        idx = np.stack([g.ravel() for g in grids], axis=1)
-        worst = np.maximum(np.abs(idx * eps), np.abs((idx + 1) * eps))
-        rows.append(idx[norm_batch(worst, space) <= R])
-    indices = np.concatenate(rows)
+    # per prefix K lies in [lo, hi): lo is inside (or -1, no cube), hi is not
+    lo, hi = np.full(len(prefix), -1), np.full(len(prefix), kmax)
+    active = np.arange(len(prefix))
+    while len(active):
+        mid = (lo[active] + hi[active]) // 2
+        corner[active, -1] = (mid + 1) * eps  # the far corner of a cube with k >= 0
+        inside = norm_batch(corner[active], space) <= R
+        lo[active[inside]], hi[active[~inside]] = mid[inside], mid[~inside]
+        active = active[hi[active] - lo[active] > 1]
 
-    N = len(indices)
+    length = 2 * (lo + 1)
+    N = int(length.sum())
+    indices = np.empty((N, n), dtype=np.int64)
+    for d in range(n - 1):
+        indices[:, d] = np.repeat(prefix[:, d], length)
+    indices[:, -1] = np.arange(N) - np.repeat(np.cumsum(length) - lo - 1, length)
+
     upper = (R / (eps * space.r_unit)) ** n
     lower = ((R - params.margin) / (eps * space.r_unit)) ** n
     slack = 1e-9 * upper + 1.0
@@ -318,7 +336,8 @@ def build_graph(lattice: Lattice, radius: float | None = None) -> GeoGraph:
     reps = lattice.representatives()
     threshold = 2.0 * radius
 
-    reach = np.minimum(int(math.ceil(threshold / eps)), np.ptp(lattice.indices, axis=0))
+    lo, hi = lattice.box
+    reach = np.minimum(int(math.ceil(threshold / eps)), hi - lo)
     grids = np.meshgrid(*[np.arange(-a, a + 1) for a in reach], indexing="ij")
     deltas = np.stack([g.ravel() for g in grids], axis=1)
     # the rows come in lexicographic order, so those past the middle (zero)
@@ -326,7 +345,7 @@ def build_graph(lattice: Lattice, radius: float | None = None) -> GeoGraph:
     deltas = deltas[len(deltas) // 2 + 1 :]
     length = norm_batch(deltas * eps, space)
 
-    # Rounding band. With u = 2^-53 and s = max |reps|: each rep coordinate
+    # Rounding band. With u = 2^-53 and s = max |reps| (at the box ends): each rep coordinate
     # is (idx + 0.5) * eps rounded once (idx + 0.5 is exact), so off by at
     # most u s, and the subtraction adds u |delta_d eps|. The block norm is
     # at most the l1 norm, so a pair difference lies within
@@ -337,11 +356,11 @@ def build_graph(lattice: Lattice, radius: float | None = None) -> GeoGraph:
     # Near the threshold T the per-pair value and the stencil length thus
     # differ by less than 2 (n + 6) u T + 2 n u (s + T) < 4 (n + 6) u (s + T);
     # the band is twice that.
-    band = 4 * (space.n + 6) * np.finfo(np.float64).eps * (np.abs(reps).max(initial=0.0) + threshold)
-    rows, lo, _, strides = lattice.table(reach)
+    band = 4 * (space.n + 6) * np.finfo(np.float64).eps * (np.abs((np.append(lo, hi) + 0.5) * eps).max() + threshold)
+    rows, _, _, strides, codes = lattice.table(reach)
     sure = deltas[length < threshold - band] @ strides
     near = deltas[(length >= threshold - band) & (length < threshold + band)] @ strides
-    graph = GeoGraph(lattice, reps, float(radius), rows, (lattice.indices - lo) @ strides,
+    graph = GeoGraph(lattice, reps, float(radius), rows, codes,
                      np.concatenate([sure, -sure]), np.concatenate([near, -near]))
     bound = graph.degree_bound()
     if graph.N and graph.max_degree + 1 > bound * (1.0 + 1e-9):
@@ -414,18 +433,20 @@ def greedy_independent_set(graph: GeoGraph, order_rule: str = "mindeg") -> np.nd
     else:
         raise InputError(f"unknown order rule {order_rule!r}")
 
-    # blocked flags by table code: a chosen vertex marks its sure translates
-    # without filtering empty cells; band partners take the per-pair test
-    blocked = np.zeros(len(graph.table), dtype=bool)
+    # blocked flags by table code, read as a bytearray and scattered through
+    # a numpy view of it: a chosen vertex marks its sure translates without
+    # filtering empty cells; band partners take the per-pair test
+    blocked = bytearray(len(graph.table))
+    flags = np.frombuffer(blocked, dtype=np.uint8)
     chosen = []
     order_codes = graph.codes[order]
     for a in range(0, graph.N, SWEEP_CHUNK):
         for c in order_codes[a : a + SWEEP_CHUNK].tolist():
             if not blocked[c]:
                 chosen.append(c)
-                blocked[c + graph.sure] = True
+                flags[c + graph.sure] = 1
                 if len(graph.band):
-                    blocked[graph.codes[graph._band_row(graph.table[c])]] = True
+                    flags[graph.codes[graph._band_row(graph.table[c])]] = 1
     chosen = np.sort(graph.table[np.array(chosen, dtype=np.int64)])
     if not graph.independent(chosen):
         raise ComputationError("greedy result is not independent")
@@ -512,7 +533,8 @@ def _certificate_from_dict(data: dict) -> PackingCertificate:
 
 def load_certificate(path) -> PackingCertificate:
     try:
-        data = json.loads(open(path).read())
+        with open(path) as fh:
+            data = json.loads(fh.read())
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read certificate {path}: {exc}") from exc
     if not isinstance(data, dict):
@@ -541,9 +563,13 @@ def _encode(obj, indent: str) -> str:
         return float.__repr__(obj) if math.isfinite(obj) else "null"
     inner = indent + " "
     if isinstance(obj, (list, tuple)):
-        # floats, the bulk of a certificate, are written without a call
-        items = [(float.__repr__(v) if math.isfinite(v) else "null") if type(v) is float
-                 else _encode(v, inner) for v in obj]
+        try:  # a row of floats, the bulk of a certificate, in one join
+            row = (",\n" + inner).join(map(float.__repr__, obj))
+            if obj and "n" not in row:  # finite reprs have no "n"; inf and nan do
+                return "[\n" + inner + row + "\n" + indent + "]"
+        except TypeError:  # an item that is not a float
+            pass
+        items = [_encode(v, inner) for v in obj]
         brackets = "[]"
     elif isinstance(obj, dict):
         items = [encode_basestring_ascii(k) + ": " + _encode(v, inner) for k, v in sorted(obj.items())]

@@ -382,6 +382,18 @@ def test_bad_pack_radius_exits_2_before_any_lattice_work(radius, monkeypatch, ca
     assert captured.out == "" and "radius must be positive and finite" in captured.err
 
 
+def test_two_commands_in_one_process(capsys):
+    # main() reuses one parser: no call may see another call's arguments
+    code, first = run_json(capsys, ["volume", "--p", "2", "--cuts", "0,1,2", "--seed", "5"])
+    assert code == 0 and first["volume"] == unit_ball_volume(2.0, BlockSpec((0, 1, 2)))
+    code, second = run_json(capsys, ["constants", "--p", "1.5", "--n", "8"])
+    assert code == 0 and [row["n"] for row in second["density_table"]] == [8]
+    assert second["config"] == {"command": "constants", "p": 1.5, "n": "8", "format": "json",
+                                "version": superpack.__version__}
+    code, third = run_json(capsys, ["volume", "--p", "2", "--cuts", "0,1,2"])
+    assert code == 0 and third == {**first, "config": {**first["config"], "seed": 0}}
+
+
 NO_SCIPY_ON_IMPORT = (
     "import sys; from superpack.cli import build_parser; "
     "build_parser().parse_args(['pack', '--p', '1.5', '--cuts', '0,1,2', '--R', '8', '--eps', '0.05']); "

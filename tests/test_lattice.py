@@ -2,8 +2,11 @@
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
+import tracemalloc
+import warnings
 
 import jsonschema
 import numpy as np
@@ -123,6 +126,67 @@ class TestBuildLattice:
         lower = ((1.6 - lat.params.margin) / (0.15 * r)) ** 3
         upper = (1.6 / (0.15 * r)) ** 3
         assert lower <= lat.N <= upper
+
+
+def _swept_indices(R, eps, space):
+    """Every candidate cube of the box [-kmax, kmax)^n, swept in slabs along
+    axis 0 with one norm per cube: the oracle for build_lattice."""
+    kmax = int(math.ceil(R / eps)) + 1
+    axis = np.arange(-kmax, kmax, dtype=np.int64)
+    rows = []
+    slab = max(1, 1_000_000 // len(axis) ** (space.n - 1))
+    for start in range(0, len(axis), slab):
+        grids = np.meshgrid(axis[start : start + slab], *([axis] * (space.n - 1)), indexing="ij")
+        idx = np.stack([g.ravel() for g in grids], axis=1)
+        worst = np.maximum(np.abs(idx * eps), np.abs((idx + 1) * eps))
+        rows.append(idx[norm_batch(worst, space) <= R])
+    return np.concatenate(rows)
+
+
+# every cut sequence with n <= 4, n = 1 included
+CUT_SEQUENCES = [(0, *inner, n) for n in range(1, 5)
+                 for k in range(n) for inner in itertools.combinations(range(1, n), k)]
+
+
+class TestLatticeByColumns:
+    @pytest.mark.parametrize("cuts", CUT_SEQUENCES, ids=lambda c: ",".join(map(str, c)))
+    @given(p=st.one_of(st.sampled_from([1.0, 2.0]), st.floats(1.0, 2.0)),
+           eps_frac=st.floats(0.05, 0.99), R_extra=st.floats(0.01, 6.0))
+    @settings(max_examples=8)
+    def test_matches_the_slab_sweep(self, cuts, p, eps_frac, R_extra):
+        space = SpaceParams.create(p, cuts)
+        eps = eps_frac * space.r_unit
+        R = LatticeParams(space, 1e6, eps).margin + R_extra * eps
+        lat = build_lattice(R, eps, space)
+        swept = _swept_indices(R, eps, space)
+        assert lat.indices.dtype == swept.dtype and lat.indices.shape == swept.shape
+        assert np.array_equal(lat.indices, swept)  # the same rows in the same order
+        assert [b.tolist() for b in lat.box] == [swept.min(axis=0).tolist(), swept.max(axis=0).tolist()]
+
+    @pytest.mark.parametrize("p, cuts, R, eps", [
+        (2.0, (0, 2), 2.5, 0.5),  # corner (3, 4) eps on the sphere
+        (2.0, (0, 2), 1.25, 0.25),
+        (2.0, (0, 2), 1.625, 0.125),  # corner (5, 12) eps
+        (2.0, (0, 1, 2), 2.5, 0.5),  # the same through the lp path
+        (1.0, (0, 1, 2), 2.0, 0.25),  # corners with k + l = 6 on the l1 sphere
+        (1.0, (0, 1, 2, 3), 3.0, 0.25),
+        (2.0, (0, 1), 1.0, 0.25),  # k eps = R on the line
+        (1.5, (0, 1, 3), 1.5, 0.125),  # a block of one and a block of two
+    ])
+    def test_exact_boundary_corners(self, p, cuts, R, eps):
+        space = SpaceParams.create(p, cuts)
+        assert np.array_equal(build_lattice(R, eps, space).indices, _swept_indices(R, eps, space))
+
+    def test_peak_memory_is_a_few_outputs(self):
+        space = SpaceParams.create(1.5, (0, 1, 2, 3))
+        build_lattice(2.0, 0.05, space)  # warm-up: first-call allocations are not the build's
+        tracemalloc.start()
+        try:
+            lat = build_lattice(2.0, 0.05, space)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * lat.indices.nbytes
 
 
 class TestCoverAndLocate:
@@ -567,6 +631,15 @@ class TestCertificates:
         assert loaded.min_pairwise_distance == cert.min_pairwise_distance
         ok, _ = verify_packing(path)
         assert ok
+
+    def test_verify_closes_the_certificate_file(self, tmp_path):
+        _, cert = self.packed()
+        path = tmp_path / "cert.json"
+        save_certificate(cert, path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert verify_packing(path)[0]
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_verify_accepts_dict(self):
         _, cert = self.packed()
