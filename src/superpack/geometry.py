@@ -292,16 +292,17 @@ class _CellTable:
     |u_i - v_i| <= |u - v| for the block norm, so the 3^n neighbour cells
     of a point hold every centre within h of it.
 
-    ``slots`` holds K centre indices per cell, -1 for an empty slot, and
-    ``nbr`` the slot rows of each cell's neighbours (a box gets one layer
-    of always-empty padding cells). The cells per axis k are capped so
-    that (3k)^n <= BUDGET; with fewer than 3 per axis or MIN_CELLS in all
-    left, the table has one cell of infinite side whose only neighbour is
-    itself, every pair is a candidate, and no 3^n array is built.
+    ``slots`` holds centre indices per cell in its first K columns, -1
+    for an empty slot, and ``nbr`` the slot rows of each cell's
+    neighbours (a box gets one layer of always-empty padding cells). The
+    cells per axis k are capped so that (3k)^n <= BUDGET; with fewer than
+    3 per axis or MIN_CELLS in all left, the table has one cell of
+    infinite side whose only neighbour is itself, every pair is a
+    candidate, and no 3^n array is built.
 
-    ``add`` and ``remove_swap`` keep the table in step with a changing
-    set at O(1) entries each (``fill``, ``cell_of`` and ``slot_of``; K
-    doubles when a cell overflows); ``load`` files a fixed set at once.
+    ``load`` refiles the table with a new set: it clears only the slots
+    the previous set filled and widens ``slots`` only when K outgrows
+    it, so a reused table costs O(points) per load, not O(cells).
     """
 
     MIN_CELLS, BUDGET = 64, 2**22  # below MIN_CELLS cells the gather does not pay
@@ -325,68 +326,42 @@ class _CellTable:
         real = (np.arange(k**n)[:, None] // self.weights) % k
         self.nbr = sum((real[:, a, None] + pad + offsets[:, a]) % width * width**a for a in range(n))
         self.centre = len(offsets) // 2  # the (0, ..., 0) offset
-        self.slots = np.full((width**n, 2), -1, dtype=np.int64)
-        self.fill = np.zeros(width**n, dtype=np.int64)
-        self.cell_of, self.slot_of = [], []
+        self.slots = np.full((width**n, 0), -1, dtype=np.int64)
+        self.K = 0
+        self.filed = (np.empty(0, dtype=np.int64),) * 2  # (row, slot) of every filed centre
 
     def coords(self, X):
         c = ((X - self.lo) / self.h).astype(np.int64)
         np.minimum(c, self.ncell - 1, out=c)
         return np.maximum(c, 0, out=c)
 
-    def cell(self, y):
-        """``coords(y) @ weights`` for one point, in scalar arithmetic."""
-        k = 0
-        for v, w in zip(y.tolist(), self.weights.tolist()):
-            k += min(max(int((v - self.lo) / self.h), 0), self.ncell - 1) * w
-        return k
-
     def near(self, P):
         """(i, j) for every centre j in a neighbour cell of row i of P."""
-        width = self.nbr.shape[1] * self.slots.shape[1]  # explicit, so that P may be empty
-        cand = self.slots[self.nbr[self.coords(P) @ self.weights]].reshape(len(P), width)
+        width = self.nbr.shape[1] * self.K  # explicit, so that P may be empty
+        cand = self.slots[:, : self.K][self.nbr[self.coords(P) @ self.weights]].reshape(len(P), width)
         i, k = np.nonzero(cand >= 0)
         return i, cand[i, k]
 
-    def load(self, X):
-        """File the rows of X as centres 0, 1, ... of an empty table, for ``near``.
+    def load(self, X, bounded=True):
+        """File the rows of X as centres 0, 1, ... in place of the last set, for ``near``.
 
-        Returns False, filing nothing, when a crowded cell would take the
-        slot table past BUDGET entries; a one-cell table takes any set.
+        Returns False, changing nothing, when ``bounded`` and a crowded
+        cell would take the slot table past BUDGET entries; a one-cell
+        table takes any set.
         """
         home = self.nbr[self.coords(X) @ self.weights, self.centre]
         order = np.argsort(home, kind="stable")
-        fill = np.bincount(home, minlength=len(self.fill))
-        if self.ncell > 1 and len(fill) * int(fill.max()) > self.BUDGET:
+        home = home[order]
+        rank = np.arange(len(X)) - np.searchsorted(home, home)  # slot within the cell
+        K = int(rank.max(initial=-1)) + 1
+        if bounded and self.ncell > 1 and len(self.slots) * K > self.BUDGET:
             return False
-        self.fill, home = fill, home[order]
-        self.slots = np.full((len(fill), int(fill.max())), -1, dtype=np.int64)
-        self.slots[home, np.arange(len(X)) - (np.cumsum(fill) - fill)[home]] = order
+        self.slots[self.filed] = -1
+        if K > self.slots.shape[1]:
+            self.slots = np.full((len(self.slots), K), -1, dtype=np.int64)
+        self.filed, self.K = (home, rank), K
+        self.slots[self.filed] = order
         return True
-
-    def add(self, y):
-        """File ``y`` as the next centre."""
-        row = int(self.nbr[self.cell(y), self.centre])
-        k = int(self.fill[row])
-        if k == self.slots.shape[1]:
-            self.slots = np.hstack([self.slots, np.full_like(self.slots, -1)])
-        self.slots[row, k] = len(self.cell_of)
-        self.fill[row] += 1
-        self.cell_of.append(row)
-        self.slot_of.append(k)
-
-    def remove_swap(self, index):
-        """Delete centre ``index``; the last centre is renamed to ``index``."""
-        row, k = self.cell_of[index], self.slot_of[index]
-        self.fill[row] -= 1
-        end = int(self.fill[row])
-        moved = self.slots[row, k] = int(self.slots[row, end])  # the row's last entry fills the hole
-        self.slot_of[moved] = k
-        self.slots[row, end] = -1
-        row, k = self.cell_of.pop(), self.slot_of.pop()  # where the last centre sits
-        if index < len(self.cell_of):
-            self.slots[row, k] = index
-            self.cell_of[index], self.slot_of[index] = row, k
 
 
 def min_pairwise(centers, space: SpaceParams, region=None) -> float:
@@ -417,7 +392,7 @@ def min_pairwise(centers, space: SpaceParams, region=None) -> float:
         if not table.load(centers):
             table = _CellTable(space, region, math.inf, box)
             table.load(centers)
-        rows = max(1, _GATHER // table.nbr.shape[1] // table.slots.shape[1])
+        rows = max(1, _GATHER // table.nbr.shape[1] // table.K)
         best = math.inf
         for start in range(0, t, rows):
             i, j = table.near(centers[start : start + rows])

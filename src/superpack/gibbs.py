@@ -463,29 +463,33 @@ def run_chain(
 
     One screen per block finds each proposal's partners within the
     exclusion distance among the block-start centers and the block's
-    earlier proposals. A proposal is blocked only by a partner alive at
-    its step: a block-start center until it is deleted, an earlier
-    proposal once accepted and until it is deleted. So every accepted
+    earlier proposals, and each probe's among all of them. A proposal is
+    blocked only by a partner alive at its step, so every accepted
     insertion clears all current centers, and the hard-core invariant
     holds by induction; it is also re-validated from scratch every 4096
     accepted moves (``VALIDATE_EVERY``) and at the end, through
     ``geometry.min_pairwise``. A probe is free when no center lies
-    within the exclusion distance at its step.
+    within the exclusion distance at its step. Label j (a block-start
+    center, or t0 + k for proposal k) is a center at the end of step s
+    when born_j <= s < died_j: block-start centers are born at -1 and
+    labels never deleted die at ``steps``. The step loop records these
+    two steps, and the block's probes are tested against them after it.
 
     The count and probe-hit series (-1 where no probe ran) are kept
     for every step; with ``collect_trace`` the estimate carries them,
     with the per-step acceptance and move type, as ``trace``.
 
-    Both screens go through one ``geometry._CellTable`` with cell side
-    at least the exclusion, built at step 0 and kept in step with the
-    centers: a block's proposals, and a step's probes, gather the
-    centers of their 3^n neighbour cells in one batch, and only gathered
-    centers get the exact distance test. Where the region leaves the
-    table one cell (fewer than 3 cells per axis or 64 cells in all),
-    both screens test all pairs instead. Cell pruning is exact
-    (coordinatewise monotonicity of the norm) and no screen draws
-    random numbers, so the trajectory does not depend on which screen
-    ran.
+    The screen goes through one ``geometry._CellTable`` with cell side
+    at least the exclusion, built at step 0 and refiled at each block
+    start with the block-start centers and the proposals, at a cost in
+    points, not cells. The proposals and probes gather the labels of
+    their 3^n neighbour cells in one batch, and only gathered labels get
+    the exact distance test. Where the region leaves the table one cell
+    (fewer than 3 cells per axis or 64 cells in all), the proposals test
+    all pairs instead, and each probed step tests its probes against the
+    centers of that step. Cell pruning is exact (coordinatewise
+    monotonicity of the norm) and no screen draws random numbers, so the
+    trajectory does not depend on which screen ran.
     """
     if not (steps > burn_in >= 0):
         raise InputError(f"need steps > burn_in >= 0, got {steps}, {burn_in}")
@@ -496,7 +500,7 @@ def run_chain(
     excl = params.exclusion
     rng = np.random.default_rng(seed)
     table = _CellTable(space, region, excl)
-    table = table if table.ncell > 1 else None  # one cell: both screens test all pairs
+    table = table if table.ncell > 1 else None  # one cell: every screen tests all pairs
     later, earlier = np.tril_indices(BLOCK, -1)  # proposal pairs, row-major
 
     centers = np.empty((64, n))
@@ -523,21 +527,31 @@ def run_chain(
         probed = range(first, s0 + b, FV_STRIDE)
         probes = region.sample(space, rng, FV_PROBES * len(probed)).reshape(-1, FV_PROBES, n)
 
-        # partners of each proposal: block-start centres (labels 0..t0-1)
-        # and earlier proposals k' (labels t0 + k')
+        # candidate partners of each proposal (row k of Q) among the
+        # block-start centres (labels 0..t0-1 of X) and earlier proposals
+        # (labels t0 + k' of X); with a table, also those of every probe
         t0, nb = t, len(Y)
+        X = np.concatenate([centers[:t0], Y])
         if table is None:
-            pi, pj = np.repeat(np.arange(nb), t0), np.tile(np.arange(t0), nb)
+            Q, pairs = Y, nb * (nb - 1) // 2
+            who = np.concatenate([np.repeat(np.arange(nb), t0), later[:pairs]])
+            lbl = np.concatenate([np.tile(np.arange(t0), nb), earlier[:pairs] + t0])
         else:
-            pi, pj = table.near(Y)
-        pairs = nb * (nb - 1) // 2
-        who = np.concatenate([pi, later[:pairs]])
-        partner = np.concatenate([centers[pj], Y[earlier[:pairs]]])
-        close = distance_batch(Y[who], partner, space, region) < excl
+            Q = np.concatenate([Y, probes.reshape(-1, n)])
+            table.load(X, bounded=False)  # hard-core cells, and at most 64 proposals
+            who, lbl = table.near(Q)
+            keep = lbl < t0 + who  # drops a proposal's own and later labels only
+            who, lbl = who[keep], lbl[keep]
+        close = distance_batch(Q[who], X[lbl], space, region) < excl
+        who, lbl = who[close], lbl[close]
+        prop = who < nb
         partners = {}
-        for k, j in zip(who[close].tolist(), np.concatenate([pj, earlier[:pairs] + t0])[close].tolist()):
+        for k, j in zip(who[prop].tolist(), lbl[prop].tolist()):
             partners.setdefault(k, []).append(j)
         alive = [True] * t0 + [False] * nb  # by label
+        # label j is a centre at the end of step s when born[j] <= s < died[j]
+        born = [-1] * t0 + [steps] * nb
+        died = [steps] * (t0 + nb)
         label = list(range(t0))  # label of the centre at each index
 
         k = 0
@@ -551,10 +565,9 @@ def run_chain(
                 elif u_acc[r] < lamV / (t + 1):  # u < 1: min(1, a) for free
                     if t == len(centers):
                         centers = np.concatenate([centers, np.empty_like(centers)])
-                    centers[t] = y = Y[k]
-                    if table is not None:
-                        table.add(y)
+                    centers[t] = Y[k]
                     alive[t0 + k] = True
+                    born[t0 + k] = step
                     label.append(t0 + k)
                     t += 1
                     births += 1
@@ -563,11 +576,10 @@ def run_chain(
             elif t > 0 and u_acc[r] < t / lamV:
                 i = min(int(u_die[r] * t), t - 1)
                 alive[label[i]] = False
+                died[label[i]] = step
                 label[i] = label[t - 1]
                 label.pop()
                 centers[i] = centers[t - 1]
-                if table is not None:
-                    table.remove_swap(i)
                 t -= 1
                 deaths += 1
                 accepted = True
@@ -578,20 +590,21 @@ def run_chain(
                     Configuration(centers[:t].copy(), params).validate()
                     accepted_since_check = 0
             count[step] = t
-            if step in probed:
-                P = probes[(step - first) // FV_STRIDE]
-                if t == 0:
-                    free = FV_PROBES
-                elif table is not None:
-                    pi, pj = table.near(P)
-                    hit = pi[distance_batch(P[pi], centers[pj], space, region) < excl]
-                    free = FV_PROBES - len(set(hit.tolist()))
-                else:
-                    d = distance_batch(P[:, None, :], centers[None, :t], space, region)
+            if table is None and step in probed:
+                free = FV_PROBES
+                if t:
+                    d = distance_batch(probes[(step - first) // FV_STRIDE, :, None], centers[None, :t], space, region)
                     free = int((d.min(axis=1) >= excl).sum())
                 fv_probe_hits[step] = free
             if collect_trace:
                 tr_acc[step] = accepted
+        if table is not None and probed:
+            # probe row q runs at step s; it is hit by a close label alive then
+            q, j = who[~prop] - nb, lbl[~prop]
+            s = first + q // FV_PROBES * FV_STRIDE
+            hit = np.zeros(len(probed) * FV_PROBES, dtype=bool)
+            hit[q[(np.array(born)[j] <= s) & (s < np.array(died)[j])]] = True
+            fv_probe_hits[probed] = FV_PROBES - hit.reshape(-1, FV_PROBES).sum(axis=1)
         if collect_trace:
             tr_birth[s0 : s0 + b] = coins
 

@@ -30,6 +30,7 @@ checked on every build, and the closed-neighborhood degree bound
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -563,10 +564,18 @@ def _encode(obj, indent: str) -> str:
         return float.__repr__(obj) if math.isfinite(obj) else "null"
     inner = indent + " "
     if isinstance(obj, (list, tuple)):
-        try:  # a row of floats, the bulk of a certificate, in one join
-            row = (",\n" + inner).join(map(float.__repr__, obj))
-            if obj and "n" not in row:  # finite reprs have no "n"; inf and nan do
-                return "[\n" + inner + row + "\n" + indent + "]"
+        # a row of floats, or rows of floats of one width (the bulk of a
+        # certificate): one format of all the reprs
+        item, flat = "%s", obj
+        if obj and set(map(type, obj)) <= {list, tuple} and len(obj[0]) and len(set(map(len, obj))) == 1:
+            item = "[\n" + inner + " " + (",\n " + inner).join(["%s"] * len(obj[0])) + "\n" + inner + "]"
+            flat = itertools.chain.from_iterable(obj)
+        try:
+            text = ("[\n" + inner + (",\n" + inner).join([item] * len(obj)) + "\n" + indent + "]") % tuple(
+                map(float.__repr__, flat)
+            )
+            if obj and "n" not in text:  # finite reprs have no "n"; inf and nan do
+                return text
         except TypeError:  # an item that is not a float
             pass
         items = [_encode(v, inner) for v in obj]

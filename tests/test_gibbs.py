@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import math
@@ -458,20 +459,7 @@ class TestCellGridScreen:
 
 
 class TestCellTable:
-    """The chain's cell table against all pairs, under chain-like edits."""
-
-    @staticmethod
-    def _check_books(table, centers):
-        # every centre sits in its own cell, at its recorded slot, and each
-        # row holds exactly ``fill`` entries packed at the front
-        rows, slots = np.array(table.cell_of, dtype=np.int64), np.array(table.slot_of, dtype=np.int64)
-        assert len(rows) == len(slots) == len(centers)
-        assert (table.slots[rows, slots] == np.arange(len(centers))).all()
-        if len(centers):
-            home = table.nbr[table.coords(centers) @ table.weights, table.centre]
-            assert (rows == home).all()
-        front = np.arange(table.slots.shape[1]) < table.fill[:, None]
-        assert ((table.slots >= 0) == front).all()
+    """One reused cell table, refiled under chain-like edits, against fresh tables and all pairs."""
 
     @staticmethod
     def _near_points(space, region, excl, centers, rng):
@@ -505,37 +493,55 @@ class TestCellTable:
         region = TorusRegion(cells * excl) if kind == "torus" else SuperballRegion(cells * excl / 2)
         with mock.patch.object(_CellTable, "MIN_CELLS", 0):  # 3 cells per axis are enough here
             table = _CellTable(space, region, excl)  # one cell for cells within rounding of 3
-            loaded = _CellTable(space, region, excl)
+            unused = _CellTable(space, region, excl)
+        table.BUDGET = 8 * len(table.slots)  # refuse a cell of more than 8 centres
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        centers = np.empty((0, n))
-        for op in data.draw(st.lists(st.integers(0, 3), min_size=20, max_size=80)):
-            if op < 3 or not len(centers):  # a birth, unscreened so that cells overflow
+
+        # births of near points, unscreened so that cells overflow, and the
+        # chain's swap-with-last deaths; then a crowded set, then halvings
+        # down to the empty set, so K grows and shrinks
+        centers, sets = np.empty((0, n)), []
+        for op in data.draw(st.lists(st.integers(0, 3), min_size=10, max_size=30)):
+            if op < 3 or not len(centers):
                 new = self._near_points(space, region, excl, centers, rng)
-                for y in new[rng.integers(len(new), size=1 + op)]:
-                    table.add(y)
-                    centers = np.vstack([centers, y])
-            else:  # the chain's death: swap-with-last removal
+                centers = np.concatenate([centers, new[rng.integers(len(new), size=1 + op)]])
+            else:
                 i = int(rng.integers(len(centers)))
+                centers = centers.copy()
                 centers[i] = centers[-1]
                 centers = centers[:-1]
-                table.remove_swap(i)
-            self._check_books(table, centers)
+            sets.append(centers)
+        sets.append(np.concatenate([centers, np.repeat(centers[:1], 9, axis=0)]))
+        while len(centers):
+            centers = centers[rng.permutation(len(centers))[: len(centers) // 2]]
+            sets.append(centers)
 
-        probes = self._near_points(space, region, excl, centers, rng)
-        brute = distance_batch(probes[:, None, :], centers[None], space, region)
-        pi, pj = table.near(probes)
-        for r, y in enumerate(probes):
-            _, cand = table.near(y[None])  # one point's gather, as in a batch
-            assert set(cand.tolist()) == set(pj[pi == r].tolist())
-            assert set(np.flatnonzero(brute[r] <= excl).tolist()) <= set(cand.tolist())
-            conflicted = cand.size > 0 and bool((distance_batch(centers[cand], y, space, region) < excl).any())
-            assert conflicted == bool((brute[r] < excl).any())
-        hit = pi[distance_batch(probes[pi], centers[pj], space, region) < excl]
-        assert len(probes) - len(set(hit.tolist())) == int((brute.min(axis=1, initial=np.inf) >= excl).sum())
-        if len(centers):  # filed in one pass, the same centres are gathered
-            assert loaded.load(centers)
-            li, lj = loaded.near(probes)
-            assert sorted(zip(li.tolist(), lj.tolist())) == sorted(zip(pi.tolist(), pj.tolist()))
+        held, ks, refused = np.empty((0, n)), [], 0
+        for X in sets:
+            fresh = copy.copy(unused)  # shares only the never-written neighbour rows
+            assert fresh.load(X)
+            loaded = table.load(X)
+            assert loaded == (table.ncell == 1 or len(table.slots) * fresh.K <= table.BUDGET)
+            if loaded:  # a refused set leaves the table as it was
+                held = X
+                ks.append(table.K)
+                assert table.K == fresh.K
+            else:
+                refused += 1
+            assert (table.slots >= 0).sum() == len(held)  # the last set's slots were cleared
+
+            probes = self._near_points(space, region, excl, held, rng)
+            brute = distance_batch(probes[:, None, :], held[None], space, region)
+            pi, pj = table.near(probes)
+            if loaded:
+                fi, fj = fresh.near(probes)
+                assert sorted(zip(pi.tolist(), pj.tolist())) == sorted(zip(fi.tolist(), fj.tolist()))
+            within = np.nonzero(brute <= excl)
+            assert set(zip(*within)) <= set(zip(pi.tolist(), pj.tolist()))
+            hit = pi[distance_batch(probes[pi], held[pj], space, region) < excl]
+            assert set(hit.tolist()) == set(np.flatnonzero((brute < excl).any(axis=1)).tolist())
+        assert ks[-1] == 0 and max(ks) > 0
+        assert refused > 0 or table.ncell == 1
 
 
 def _replay(params, steps, burn_in, seed):
@@ -544,9 +550,9 @@ def _replay(params, steps, burn_in, seed):
     The live centres sit in a plain list, deleted by swap with the last
     one as the chain's index draw assumes, and every screen tests all
     pairs: no cell table and no batched screen. Returns the trace, the
-    blocked births, the births blocked only by centres born earlier in
-    their block, and the free births close to a centre deleted earlier in
-    their block.
+    blocked births, and two (births, probes) pairs of counts: those
+    blocked or hit only by centres born earlier in their block, and the
+    free ones close to a centre deleted earlier in their block.
     """
     space, region, excl = params.space, params.region, params.exclusion
     lamV = params.fugacity * params.volume
@@ -554,7 +560,7 @@ def _replay(params, steps, burn_in, seed):
     live, born = [], []  # born: the block in which each live centre was born
     trace = {"count": np.empty(steps, dtype=np.int64), "fv_probe_hits": np.full(steps, -1, dtype=np.int64),
              "accepted": np.zeros(steps, dtype=np.uint8), "birth": np.zeros(steps, dtype=np.uint8)}
-    blocked = same_block = void = 0
+    blocked = same_block = void = probe_same_block = probe_void = 0
     for s0 in range(0, steps, gibbs.BLOCK):
         b = min(gibbs.BLOCK, steps - s0)
         coins = rng.random(b) < 0.5
@@ -588,9 +594,14 @@ def _replay(params, steps, burn_in, seed):
             trace["count"][step] = len(live)
             if step in probed:
                 P = next(probes)
-                d = distance_batch(P[:, None, :], np.reshape(live, (1, len(live), space.n)), space, region)
-                trace["fv_probe_hits"][step] = int((d.min(axis=1, initial=np.inf) >= excl).sum())
-    return trace, blocked, same_block, void
+                close = distance_batch(P[:, None, :], np.reshape(live, (1, len(live), space.n)), space, region) < excl
+                free = ~close.any(axis=1)
+                trace["fv_probe_hits"][step] = int(free.sum())
+                probe_same_block += int((~free & ~close[:, np.array(born, dtype=int) != s0].any(axis=1)).sum())
+                if gone:
+                    near_gone = distance_batch(P[:, None, :], np.array(gone)[None], space, region) < excl
+                    probe_void += int((free & near_gone.any(axis=1)).sum())
+    return trace, blocked, (same_block, probe_same_block), (void, probe_void)
 
 
 class TestBlockLayout:
@@ -605,6 +616,7 @@ class TestBlockLayout:
         "dense-table": ((1.5, (0, 1, 2)), "torus", 20, 40.0, 3000, 100, 36, True),
         "under-one-block": ((1.5, (0, 1, 2)), "torus", 30, 5.0, 40, 5, 37, True),
         "partial-last-block": ((1.5, (0, 1, 2)), "torus", 30, 5.0, 203, 70, 38, True),
+        "many-cells-few-centres": ((1.5, (0, 1, 2)), "torus", 300, 1.0, 400, 100, 39, True),
     }
 
     @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
@@ -628,8 +640,8 @@ class TestBlockLayout:
         for key in trace:
             assert est.trace[key].tobytes() == trace[key].tobytes(), key
         assert est.births_blocked == blocked
-        if lam > 10:  # both in-block cases the batched screen must get right
-            assert same_block > 0 and void > 0
+        if lam > 10:  # the in-block cases the batched screens must get right, births and probes
+            assert min(same_block + void) > 0
         return trace
 
 

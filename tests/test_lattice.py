@@ -508,6 +508,8 @@ _json_leaves = st.one_of(
     st.booleans(),
     st.none(),
     st.text(),  # non-ASCII included
+    # rows of one width, as certificate centres are
+    st.integers(1, 3).flatmap(lambda w: st.lists(st.lists(st.floats(), min_size=w, max_size=w), min_size=1, max_size=4)),
 )
 _json_trees = st.recursive(
     _json_leaves,
@@ -526,6 +528,8 @@ class TestJsonText:
     @example({"": [], "a": {}, "b": [[], {}, ([],), [{"c": {}}]], "\u00e9\u4e2d": ["\u2603", 2**64 + 1, -(2**63) - 1]})
     @example([[[[]]], {"x": ({},)}])
     @example(float("nan"))
+    @example({"centers": [[1.5, -0.0], (2.5, 5e-324)], "rows": [[1.0], [math.inf], [2.0]], "ints": [[1, 2], [3, 4]]})
+    @example([[[1.5]], [[2.5]], [], [[]], [[], []], ["ab", "cd"], [[1.5, 2.5], [3.5]], [[1.5], [True]], [{"a": 1.5}]])
     def test_matches_json_dumps(self, x):
         expected = json.dumps(_null_mapped(x), indent=1, sort_keys=True, allow_nan=False) + "\n"
         assert lattice_graph.json_text(x) == expected
