@@ -230,6 +230,13 @@ class SpaceParams:
             raise InputError(f"malformed SpaceParams encoding: {obj!r}") from exc
 
 
+def _rowsum(A: np.ndarray) -> np.ndarray:
+    """``A.sum(axis=-1)`` bit for bit: below 8 terms numpy adds them in index order to +0.0."""
+    if not 0 < A.shape[-1] < 8:  # numpy's unrolled pairwise sums
+        return A.sum(axis=-1)
+    return sum((A[..., c] for c in range(1, A.shape[-1])), A[..., 0] + 0.0)
+
+
 def norm_batch(X, space: SpaceParams) -> np.ndarray:
     """Block norm along the last axis of ``X``.
 
@@ -241,14 +248,14 @@ def norm_batch(X, space: SpaceParams) -> np.ndarray:
     if space.p == 2.0:
         return np.sqrt(np.einsum("...i,...i->...", X, X))
     if space.blocks.m == 1:
-        return np.sqrt((X * X).sum(axis=-1))
+        return np.sqrt(_rowsum(X * X))
     if space.blocks.m == space.n:  # the lp norm: sqrt(fl(x*x)) is |x| in range
         bn = np.abs(X)
     else:
         bn = np.sqrt(np.add.reduceat(X * X, space.blocks.starts, axis=-1))
     if space.p == 1.0:
-        return bn.sum(axis=-1)
-    return np.power(np.power(bn, space.p).sum(axis=-1), 1.0 / space.p)
+        return _rowsum(bn)
+    return np.power(_rowsum(np.power(bn, space.p)), 1.0 / space.p)
 
 
 def norm(x, space: SpaceParams) -> float:
@@ -303,6 +310,9 @@ class _CellTable:
     ``load`` refiles the table with a new set: it clears only the slots
     the previous set filled and widens ``slots`` only when K outgrows
     it, so a reused table costs O(points) per load, not O(cells).
+    ``near`` takes rows of the whole, contiguous ``nbr`` and ``slots``
+    (columns past K hold -1): ``take`` from a view such as
+    ``slots[:, :K]`` first copies the whole view, O(cells) per call.
     """
 
     MIN_CELLS, BUDGET = 64, 2**22  # below MIN_CELLS cells the gather does not pay
@@ -319,28 +329,32 @@ class _CellTable:
             k = 1
         self.ncell = k
         self.h = span / k if k > 1 else math.inf
-        self.weights = k ** np.arange(n, dtype=np.int64)
         pad = 0 if self.torus or k == 1 else 1
         width = k + 2 * pad
         offsets = np.array(list(itertools.product((-1, 0, 1) if k > 1 else (0,), repeat=n)), dtype=np.int64)
-        real = (np.arange(k**n)[:, None] // self.weights) % k
+        real = (np.arange(k**n)[:, None] // k ** np.arange(n, dtype=np.int64)) % k
         self.nbr = sum((real[:, a, None] + pad + offsets[:, a]) % width * width**a for a in range(n))
         self.centre = len(offsets) // 2  # the (0, ..., 0) offset
         self.slots = np.full((width**n, 0), -1, dtype=np.int64)
         self.K = 0
         self.filed = (np.empty(0, dtype=np.int64),) * 2  # (row, slot) of every filed centre
 
-    def coords(self, X):
+    def code(self, X):  # sum_a c_a k^a over the cell coordinates c of each row
         c = ((X - self.lo) / self.h).astype(np.int64)
         np.minimum(c, self.ncell - 1, out=c)
-        return np.maximum(c, 0, out=c)
+        np.maximum(c, 0, out=c)
+        code = c[:, -1]
+        for a in range(c.shape[1] - 2, -1, -1):
+            code = code * self.ncell + c[:, a]
+        return code
 
     def near(self, P):
-        """(i, j) for every centre j in a neighbour cell of row i of P."""
-        width = self.nbr.shape[1] * self.K  # explicit, so that P may be empty
-        cand = self.slots[:, : self.K][self.nbr[self.coords(P) @ self.weights]].reshape(len(P), width)
-        i, k = np.nonzero(cand >= 0)
-        return i, cand[i, k]
+        """(i, j) for every centre j in a neighbour cell of row i of P, row-major."""
+        cells = self.nbr.take(self.code(P), axis=0)
+        width = cells.shape[1] * self.slots.shape[1]  # explicit, so that P may be empty
+        cand = self.slots.take(cells, axis=0).reshape(len(P), width)
+        f = np.flatnonzero(cand >= 0)
+        return f // width, cand.take(f)
 
     def load(self, X, bounded=True):
         """File the rows of X as centres 0, 1, ... in place of the last set, for ``near``.
@@ -349,7 +363,7 @@ class _CellTable:
         cell would take the slot table past BUDGET entries; a one-cell
         table takes any set.
         """
-        home = self.nbr[self.coords(X) @ self.weights, self.centre]
+        home = self.nbr[self.code(X), self.centre]
         order = np.argsort(home, kind="stable")
         home = home[order]
         rank = np.arange(len(X)) - np.searchsorted(home, home)  # slot within the cell
@@ -398,7 +412,7 @@ def min_pairwise(centers, space: SpaceParams, region=None) -> float:
             i, j = table.near(centers[start : start + rows])
             i += start
             keep = i < j
-            d = distance_batch(centers[i[keep]], centers[j[keep]], space, region)
+            d = distance_batch(centers.take(i[keep], axis=0), centers.take(j[keep], axis=0), space, region)
             best = min(best, float(d.min(initial=math.inf)))
             if best == 0.0:  # no distance is smaller
                 return best
@@ -457,7 +471,7 @@ class SuperballRegion:
         W = rng.standard_exponential(size)
         g_norm = np.sqrt(np.add.reduceat(g * g, blocks.starts, axis=-1))
         radial = np.power(G, 1.0 / p) / g_norm
-        shrink = self.radius / np.power(G.sum(axis=-1) + W, 1.0 / p)
+        shrink = self.radius / np.power(_rowsum(G) + W, 1.0 / p)
         return g * np.repeat(radial * shrink[:, None], dims, axis=-1)
 
     def to_json(self) -> dict:

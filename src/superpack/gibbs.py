@@ -542,7 +542,7 @@ def run_chain(
             who, lbl = table.near(Q)
             keep = lbl < t0 + who  # drops a proposal's own and later labels only
             who, lbl = who[keep], lbl[keep]
-        close = distance_batch(Q[who], X[lbl], space, region) < excl
+        close = distance_batch(Q.take(who, axis=0), X.take(lbl, axis=0), space, region) < excl
         who, lbl = who[close], lbl[close]
         prop = who < nb
         partners = {}

@@ -5,8 +5,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import special, stats
 
 import superpack.geometry as geometry
@@ -45,6 +46,19 @@ class TestBlockSpec:
     def test_json_round_trip(self):
         b = BlockSpec((0, 1, 4, 6))
         assert BlockSpec.from_json(b.to_json()) == b
+
+
+_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e-300, 1e300, -1e300,
+            1.7976931348623157e308, math.inf, -math.inf]
+
+
+@st.composite
+def _rowsum_arrays(draw):
+    """Float arrays of 1-3 leading axes and 1-12 terms: zeros, subnormals, near 1e+-300 and inf."""
+    shape = (*draw(st.lists(st.integers(1, 6), min_size=1, max_size=3)), draw(st.integers(1, 12)))
+    values = st.one_of(st.sampled_from(_SPECIAL), st.floats(allow_nan=False),
+                       st.floats(1e-310, 1e-290), st.floats(1e290, 1e305), st.floats(-1e3, 1e3))
+    return draw(hnp.arrays(np.float64, shape, elements=values))
 
 
 class TestNorm:
@@ -122,6 +136,37 @@ class TestNorm:
         X = np.array(data.draw(st.lists(st.lists(coord, min_size=n, max_size=n), min_size=1, max_size=6)))
         bn = np.sqrt(np.add.reduceat(X * X, space.blocks.starts, axis=-1))
         ref = bn.sum(axis=-1) if p == 1.0 else np.power(np.power(bn, p).sum(axis=-1), 1.0 / p)
+        assert norm_batch(X, space).tobytes() == ref.tobytes()
+
+    @given(_rowsum_arrays())
+    @example(np.array([[1.0, 1e-16, 1e-16]]))  # 1 in index order, 1 + 2^-52 if the tail is added first
+    @example(np.full((2, 3), -0.0))  # numpy's sum starts from +0.0
+    def test_rowsum_is_numpys_sum_bit_for_bit(self, A):
+        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf and overflow, alike on both sides
+            assert geometry._rowsum(A).tobytes() == A.sum(axis=-1).tobytes()
+
+    @pytest.mark.parametrize("path", ["p2", "one-block", "lp", "blocks"])
+    @given(st.one_of(st.just(1.0), st.floats(1.0, 2.0, exclude_max=True)), st.data())
+    def test_norm_paths_match_numpys_sum(self, path, p, data):
+        # n up to 12 reaches numpy's pairwise sums from 8 terms on
+        n = data.draw(st.integers(3 if path == "blocks" else 1, 12))
+        if path in ("p2", "blocks"):  # blocks: 1 < m < n
+            inner = data.draw(st.sets(st.integers(1, max(n - 1, 1)), min_size=path == "blocks",
+                                         max_size=n - 1 - (path == "blocks")))
+            cuts = (0, *sorted(inner), n)
+        else:
+            cuts = (0, n) if path == "one-block" else tuple(range(n + 1))
+        space = SpaceParams.create(2.0 if path == "p2" else p, cuts)
+        X = np.array(data.draw(st.lists(st.lists(bounded_floats(1e3), min_size=n, max_size=n), min_size=1, max_size=20)))
+        X = X[0] if len(X) == 1 else X.reshape(data.draw(st.sampled_from([(-1,), (1, -1), (-1, 1)])) + (n,))
+        # the norm as written with numpy's own sums
+        if space.p == 2.0:
+            ref = np.sqrt(np.einsum("...i,...i->...", X, X))
+        elif space.blocks.m == 1:
+            ref = np.sqrt((X * X).sum(axis=-1))
+        else:
+            bn = np.abs(X) if space.blocks.m == n else np.sqrt(np.add.reduceat(X * X, space.blocks.starts, axis=-1))
+            ref = bn.sum(axis=-1) if p == 1.0 else np.power(np.power(bn, p).sum(axis=-1), 1.0 / p)
         assert norm_batch(X, space).tobytes() == ref.tobytes()
 
     @given(block_specs(max_n=8), st.data())

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import multiprocessing
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -542,6 +543,62 @@ class TestCellTable:
             assert set(hit.tolist()) == set(np.flatnonzero((brute < excl).any(axis=1)).tolist())
         assert ks[-1] == 0 and max(ks) > 0
         assert refused > 0 or table.ncell == 1
+
+    @staticmethod
+    def _fancy_near(table, P):
+        # reference gather: cell codes by an int64 matmul, 2-D fancy
+        # indexing of the first K slot columns, hits by 2-D nonzero
+        k, n = table.ncell, P.shape[1]
+        codes = np.clip(((P - table.lo) / table.h).astype(np.int64), 0, k - 1) @ k ** np.arange(n, dtype=np.int64)
+        cand = table.slots[:, : table.K][table.nbr[codes]].reshape(len(P), table.nbr.shape[1] * table.K)
+        i, s = np.nonzero(cand >= 0)
+        return i, cand[i, s]
+
+    @pytest.mark.parametrize("n, kind, cells", [(1, "torus", 100), (2, "torus", 12), (2, "ball", 12),
+                                                (3, "torus", 6), (2, "torus", 2)])
+    def test_near_matches_the_fancy_index_gather(self, n, kind, cells):
+        space = SpaceParams.create(1.5, tuple(range(n + 1)))
+        excl = 2.0 * space.r_unit
+        region = TorusRegion(cells * excl) if kind == "torus" else SuperballRegion(cells * excl / 2)
+        table = _CellTable(space, region, excl)
+        assert (table.ncell > 1) == (cells > 2)
+        rng = np.random.default_rng(n + cells)
+        crowded = np.concatenate([region.sample(space, rng, 200), np.repeat(region.sample(space, rng, 1), 6, axis=0)])
+        # one reused table: crowded, then sparse, then empty, so the slot
+        # table stays wider than K and its columns past K hold -1
+        widths = []
+        for X in (crowded, region.sample(space, rng, 20), np.empty((0, n))):
+            assert table.load(X)
+            widths.append((table.K, table.slots.shape[1]))
+            probes = region.sample(space, rng, 300)
+            for P in (probes, probes[:0]):
+                (i, j), (oi, oj) = table.near(P), self._fancy_near(table, P)
+                assert i.dtype == oi.dtype and j.dtype == oj.dtype
+                assert np.array_equal(i, oi) and np.array_equal(j, oj)  # order included
+        (K0, w0), (K1, w1), (K2, w2) = widths
+        assert K0 == w0 and K1 < w1 and K2 == 0 < w2
+
+    def test_near_costs_points_not_cells(self):
+        # 10^6 cells holding 100 centres, after a crowded set widened the
+        # slot table: one near on 500 probes allocates in probes, not a
+        # copy of the first K slot columns (8 MB per column here)
+        space = SpaceParams.create(1.5, (0, 1, 2))
+        region = TorusRegion(1000.5)
+        with mock.patch.object(_CellTable, "BUDGET", 2**24):  # 3 x 1000 cells per axis fit
+            table = _CellTable(space, region, 1.0)
+        assert table.ncell == 1000
+        rng = np.random.default_rng(3)
+        X = region.sample(space, rng, 100)
+        assert table.load(np.concatenate([X, X, X]), bounded=False) and table.load(X, bounded=False)
+        assert 0 < table.K < table.slots.shape[1]
+        probes = region.sample(space, rng, 500)
+        tracemalloc.start()
+        try:
+            table.near(probes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
 
 def _replay(params, steps, burn_in, seed):
