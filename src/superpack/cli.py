@@ -141,12 +141,15 @@ def cmd_volume(args) -> int:
 
 
 def _trace_csv(estimate, config_line: str) -> str:
-    # the trace spans every step; estimates use only the post-burn-in part
-    columns = [estimate.trace[k].tolist() for k in ("count", "fv_probe_hits", "accepted", "birth")]
-    rows = ["# config=" + config_line, "step,count,fv_probe_hits,accepted,birth"]
-    for i, (count, probe, acc, birth) in enumerate(zip(*columns)):
-        rows.append(f"{i},{count},{'' if probe < 0 else probe},{acc:d},{birth:d}")
-    return "\n".join(rows) + "\n"
+    # the trace spans every step; estimates use only the post-burn-in part. One % format
+    # per 4096 rows; only the probe column holds -1 (no probe ran), written empty
+    tr = estimate.trace
+    cols = [np.arange(len(tr["count"])), tr["count"], tr["fv_probe_hits"], tr["accepted"], tr["birth"]]
+    text = ["# config=" + config_line + "\nstep,count,fv_probe_hits,accepted,birth\n"]
+    for start in range(0, len(cols[0]), 4096):
+        rows = np.stack([c[start : start + 4096] for c in cols], axis=1).ravel().tolist()
+        text.append(("%d,%d,%d,%d,%d\n" * (len(rows) // 5) % tuple(rows)).replace(",-1,", ",,"))
+    return "".join(text)
 
 
 def cmd_simulate(args) -> int:

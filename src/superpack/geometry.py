@@ -22,7 +22,6 @@ O(1) scales and the hot paths are not taxed for robustness nobody uses.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -237,6 +236,11 @@ def _rowsum(A: np.ndarray) -> np.ndarray:
     return sum((A[..., c] for c in range(1, A.shape[-1])), A[..., 0] + 0.0)
 
 
+def _block_norms(X: np.ndarray, space: SpaceParams) -> np.ndarray:
+    """Euclidean norm of each block of ``X``'s last axis; lp blocks skip the sqrt(fl(x*x)) = |x| round trip."""
+    return np.abs(X) if space.blocks.m == space.n else np.sqrt(np.add.reduceat(X * X, space.blocks.starts, axis=-1))
+
+
 def norm_batch(X, space: SpaceParams) -> np.ndarray:
     """Block norm along the last axis of ``X``.
 
@@ -249,10 +253,7 @@ def norm_batch(X, space: SpaceParams) -> np.ndarray:
         return np.sqrt(np.einsum("...i,...i->...", X, X))
     if space.blocks.m == 1:
         return np.sqrt(_rowsum(X * X))
-    if space.blocks.m == space.n:  # the lp norm: sqrt(fl(x*x)) is |x| in range
-        bn = np.abs(X)
-    else:
-        bn = np.sqrt(np.add.reduceat(X * X, space.blocks.starts, axis=-1))
+    bn = _block_norms(X, space)
     if space.p == 1.0:
         return _rowsum(bn)
     return np.power(_rowsum(np.power(bn, space.p)), 1.0 / space.p)
@@ -307,7 +308,8 @@ class _CellTable:
     infinite side whose only neighbour is itself, every pair is a
     candidate, and no 3^n array is built.
 
-    ``load`` refiles the table with a new set: it clears only the slots
+    ``load`` and ``near`` take points as cell codes (``code``). ``load``
+    refiles the table with a new set: it clears only the slots
     the previous set filled and widens ``slots`` only when K outgrows
     it, so a reused table costs O(points) per load, not O(cells).
     ``near`` takes rows of the whole, contiguous ``nbr`` and ``slots``
@@ -331,10 +333,13 @@ class _CellTable:
         self.h = span / k if k > 1 else math.inf
         pad = 0 if self.torus or k == 1 else 1
         width = k + 2 * pad
-        offsets = np.array(list(itertools.product((-1, 0, 1) if k > 1 else (0,), repeat=n)), dtype=np.int64)
-        real = (np.arange(k**n)[:, None] // k ** np.arange(n, dtype=np.int64)) % k
-        self.nbr = sum((real[:, a, None] + pad + offsets[:, a]) % width * width**a for a in range(n))
-        self.centre = len(offsets) // 2  # the (0, ..., 0) offset
+        step = np.arange(-1, 2) if k > 1 else np.arange(1)  # neighbour offsets per axis
+        nbr = np.zeros((k,) * n + step.shape * n, dtype=np.int64)  # axes c_(n-1), ..., c_0, o_0, ..., o_(n-1)
+        for a in range(n):  # axis a's (k, 3) terms, broadcast into the one output array
+            nbr += ((np.arange(k)[:, None] + pad + step) % width * width**a).reshape(
+                (1,) * (n - 1 - a) + (k,) + (1,) * (2 * a) + step.shape + (1,) * (n - 1 - a))
+        self.nbr = nbr.reshape(k**n, -1)
+        self.centre = self.nbr.shape[1] // 2  # the (0, ..., 0) offset
         self.slots = np.full((width**n, 0), -1, dtype=np.int64)
         self.K = 0
         self.filed = (np.empty(0, dtype=np.int64),) * 2  # (row, slot) of every filed centre
@@ -348,25 +353,25 @@ class _CellTable:
             code = code * self.ncell + c[:, a]
         return code
 
-    def near(self, P):
-        """(i, j) for every centre j in a neighbour cell of row i of P, row-major."""
-        cells = self.nbr.take(self.code(P), axis=0)
-        width = cells.shape[1] * self.slots.shape[1]  # explicit, so that P may be empty
-        cand = self.slots.take(cells, axis=0).reshape(len(P), width)
+    def near(self, codes):
+        """(i, j) for every centre j in a neighbour cell of the point with cell code codes[i], row-major."""
+        cells = self.nbr.take(codes, axis=0)
+        width = cells.shape[1] * self.slots.shape[1]  # explicit, so that codes may be empty
+        cand = self.slots.take(cells, axis=0).reshape(len(codes), width)
         f = np.flatnonzero(cand >= 0)
         return f // width, cand.take(f)
 
-    def load(self, X, bounded=True):
-        """File the rows of X as centres 0, 1, ... in place of the last set, for ``near``.
+    def load(self, codes, bounded=True):
+        """File the points of cell codes ``codes`` as centres 0, 1, ... in place of the last set.
 
         Returns False, changing nothing, when ``bounded`` and a crowded
         cell would take the slot table past BUDGET entries; a one-cell
         table takes any set.
         """
-        home = self.nbr[self.code(X), self.centre]
+        home = self.nbr[codes, self.centre]
         order = np.argsort(home, kind="stable")
         home = home[order]
-        rank = np.arange(len(X)) - np.searchsorted(home, home)  # slot within the cell
+        rank = np.arange(len(codes)) - np.searchsorted(home, home)  # slot within the cell
         K = int(rank.max(initial=-1)) + 1
         if bounded and self.ncell > 1 and len(self.slots) * K > self.BUDGET:
             return False
@@ -403,13 +408,15 @@ def min_pairwise(centers, space: SpaceParams, region=None) -> float:
     side = box[1] / t ** (1.0 / space.n) or math.inf  # coincident centres: one cell
     while True:
         table = _CellTable(space, region, side, box)
-        if not table.load(centers):
+        codes = table.code(centers)
+        if not table.load(codes):
             table = _CellTable(space, region, math.inf, box)
-            table.load(centers)
+            codes = table.code(centers)
+            table.load(codes)
         rows = max(1, _GATHER // table.nbr.shape[1] // table.K)
         best = math.inf
         for start in range(0, t, rows):
-            i, j = table.near(centers[start : start + rows])
+            i, j = table.near(codes[start : start + rows])
             i += start
             keep = i < j
             d = distance_batch(centers.take(i[keep], axis=0), centers.take(j[keep], axis=0), space, region)
@@ -469,10 +476,9 @@ class SuperballRegion:
         g = rng.standard_normal((size, space.n))
         G = rng.standard_gamma(dims / p, size=(size, blocks.m))
         W = rng.standard_exponential(size)
-        g_norm = np.sqrt(np.add.reduceat(g * g, blocks.starts, axis=-1))
-        radial = np.power(G, 1.0 / p) / g_norm
         shrink = self.radius / np.power(_rowsum(G) + W, 1.0 / p)
-        return g * np.repeat(radial * shrink[:, None], dims, axis=-1)
+        scale = np.power(G, 1.0 / p) / _block_norms(g, space) * shrink[:, None]
+        return g * (scale if blocks.m == space.n else np.repeat(scale, dims, axis=-1))
 
     def to_json(self) -> dict:
         return {"kind": "ball", "size": self.radius}

@@ -472,8 +472,8 @@ def run_chain(
     within the exclusion distance at its step. Label j (a block-start
     center, or t0 + k for proposal k) is a center at the end of step s
     when born_j <= s < died_j: block-start centers are born at -1 and
-    labels never deleted die at ``steps``. The step loop records these
-    two steps, and the block's probes are tested against them after it.
+    labels never deleted die at ``steps``. The step loop sets them in
+    int64 arrays; the block's probes are tested against them after it.
 
     The count and probe-hit series (-1 where no probe ran) are kept
     for every step; with ``collect_trace`` the estimate carries them,
@@ -482,14 +482,16 @@ def run_chain(
     The screen goes through one ``geometry._CellTable`` with cell side
     at least the exclusion, built at step 0 and refiled at each block
     start with the block-start centers and the proposals, at a cost in
-    points, not cells. The proposals and probes gather the labels of
-    their 3^n neighbour cells in one batch, and only gathered labels get
-    the exact distance test. Where the region leaves the table one cell
-    (fewer than 3 cells per axis or 64 cells in all), the proposals test
-    all pairs instead, and each probed step tests its probes against the
-    centers of that step. Cell pruning is exact (coordinatewise
-    monotonicity of the norm) and no screen draws random numbers, so the
-    trajectory does not depend on which screen ran.
+    points, not cells. Each center keeps its cell code beside it (moved
+    with it on a death), so a block codes only its proposals and probes.
+    These gather the labels of their 3^n neighbour cells in one batch,
+    and only gathered labels get the exact distance test. Where the
+    region leaves the table one cell (fewer than 3 cells per axis or 64
+    cells in all), the proposals test all pairs instead, and each probed
+    step tests its probes against the centers of that step. Cell pruning
+    is exact (coordinatewise monotonicity of the norm) and no screen
+    draws random numbers, so the trajectory does not depend on which
+    screen ran.
     """
     if not (steps > burn_in >= 0):
         raise InputError(f"need steps > burn_in >= 0, got {steps}, {burn_in}")
@@ -500,10 +502,11 @@ def run_chain(
     excl = params.exclusion
     rng = np.random.default_rng(seed)
     table = _CellTable(space, region, excl)
-    table = table if table.ncell > 1 else None  # one cell: every screen tests all pairs
+    grid = table.ncell > 1  # else one cell: every screen tests all pairs
     later, earlier = np.tril_indices(BLOCK, -1)  # proposal pairs, row-major
 
     centers = np.empty((64, n))
+    home = np.empty(64, dtype=np.int64)  # cell code of each centre
     t = 0
     births = 0
     deaths = 0
@@ -513,7 +516,6 @@ def run_chain(
     count = np.empty(steps, dtype=np.int64)
     fv_probe_hits = np.full(steps, -1, dtype=np.int64)
     if collect_trace:
-        tr_acc = np.zeros(steps, dtype=np.uint8)
         tr_birth = np.zeros(steps, dtype=np.uint8)
 
     for s0 in range(0, steps, BLOCK):
@@ -532,14 +534,15 @@ def run_chain(
         # (labels t0 + k' of X); with a table, also those of every probe
         t0, nb = t, len(Y)
         X = np.concatenate([centers[:t0], Y])
-        if table is None:
-            Q, pairs = Y, nb * (nb - 1) // 2
+        Q = np.concatenate([Y, probes.reshape(-1, n)]) if grid else Y
+        codes = table.code(Q)
+        if not grid:
+            pairs = nb * (nb - 1) // 2
             who = np.concatenate([np.repeat(np.arange(nb), t0), later[:pairs]])
             lbl = np.concatenate([np.tile(np.arange(t0), nb), earlier[:pairs] + t0])
         else:
-            Q = np.concatenate([Y, probes.reshape(-1, n)])
-            table.load(X, bounded=False)  # hard-core cells, and at most 64 proposals
-            who, lbl = table.near(Q)
+            table.load(np.concatenate([home[:t0], codes[:nb]]), bounded=False)  # hard-core cells, <= 64 proposals
+            who, lbl = table.near(codes)
             keep = lbl < t0 + who  # drops a proposal's own and later labels only
             who, lbl = who[keep], lbl[keep]
         close = distance_batch(Q.take(who, axis=0), X.take(lbl, axis=0), space, region) < excl
@@ -550,9 +553,10 @@ def run_chain(
             partners.setdefault(k, []).append(j)
         alive = [True] * t0 + [False] * nb  # by label
         # label j is a centre at the end of step s when born[j] <= s < died[j]
-        born = [-1] * t0 + [steps] * nb
-        died = [steps] * (t0 + nb)
-        label = list(range(t0))  # label of the centre at each index
+        born, died = np.full((2, t0 + nb), steps)
+        born[:t0] = -1
+        moved = {}  # the centre at index i has label moved.get(i, i)
+        cnt = []
 
         k = 0
         for r, birth in enumerate(coins.tolist()):
@@ -565,21 +569,24 @@ def run_chain(
                 elif u_acc[r] < lamV / (t + 1):  # u < 1: min(1, a) for free
                     if t == len(centers):
                         centers = np.concatenate([centers, np.empty_like(centers)])
+                        home = np.concatenate([home, np.empty_like(home)])
                     centers[t] = Y[k]
+                    home[t] = codes[k]
                     alive[t0 + k] = True
                     born[t0 + k] = step
-                    label.append(t0 + k)
+                    moved[t] = t0 + k
                     t += 1
                     births += 1
                     accepted = True
                 k += 1
             elif t > 0 and u_acc[r] < t / lamV:
                 i = min(int(u_die[r] * t), t - 1)
-                alive[label[i]] = False
-                died[label[i]] = step
-                label[i] = label[t - 1]
-                label.pop()
+                j = moved.get(i, i)
+                alive[j] = False
+                died[j] = step
+                moved[i] = moved.pop(t - 1, t - 1)
                 centers[i] = centers[t - 1]
+                home[i] = home[t - 1]
                 t -= 1
                 deaths += 1
                 accepted = True
@@ -589,21 +596,20 @@ def run_chain(
                 if accepted_since_check >= VALIDATE_EVERY:
                     Configuration(centers[:t].copy(), params).validate()
                     accepted_since_check = 0
-            count[step] = t
-            if table is None and step in probed:
+            cnt.append(t)
+            if not grid and step in probed:
                 free = FV_PROBES
                 if t:
                     d = distance_batch(probes[(step - first) // FV_STRIDE, :, None], centers[None, :t], space, region)
                     free = int((d.min(axis=1) >= excl).sum())
                 fv_probe_hits[step] = free
-            if collect_trace:
-                tr_acc[step] = accepted
-        if table is not None and probed:
+        count[s0 : s0 + b] = cnt
+        if grid and probed:
             # probe row q runs at step s; it is hit by a close label alive then
             q, j = who[~prop] - nb, lbl[~prop]
             s = first + q // FV_PROBES * FV_STRIDE
             hit = np.zeros(len(probed) * FV_PROBES, dtype=bool)
-            hit[q[(np.array(born)[j] <= s) & (s < np.array(died)[j])]] = True
+            hit[q[(born.take(j) <= s) & (s < died.take(j))]] = True
             fv_probe_hits[probed] = FV_PROBES - hit.reshape(-1, FV_PROBES).sum(axis=1)
         if collect_trace:
             tr_birth[s0 : s0 + b] = coins
@@ -628,11 +634,8 @@ def run_chain(
         births_blocked=blocked,
         seed=int(seed),
         final_count=t,
-        trace=(
-            {"count": count, "fv_probe_hits": fv_probe_hits, "accepted": tr_acc, "birth": tr_birth}
-            if collect_trace
-            else None
-        ),
+        trace=({"count": count, "fv_probe_hits": fv_probe_hits, "birth": tr_birth,  # an accepted move moves t
+                "accepted": (np.diff(count, prepend=0) != 0).astype(np.uint8)} if collect_trace else None),
         final_configuration=final,
     )
     return est

@@ -8,10 +8,14 @@ import os
 import pathlib
 import subprocess
 import sys
+import types
 import warnings
 
 import jsonschema
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import superpack
 from superpack import cli, gibbs
@@ -128,6 +132,29 @@ class TestSimulate:
         assert main(self.ARGS + ["--out", str(out)]) == 0
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == "685f5aead3be429f224a0afc0200dbbe15f24795affcab753e975e5c4dce081c"
+
+    @staticmethod
+    def _row_writer(estimate, config_line):
+        # the trace as one f-string per row wrote it
+        columns = [estimate.trace[k].tolist() for k in ("count", "fv_probe_hits", "accepted", "birth")]
+        rows = ["# config=" + config_line, "step,count,fv_probe_hits,accepted,birth"]
+        for i, (count, probe, acc, birth) in enumerate(zip(*columns)):
+            rows.append(f"{i},{count},{'' if probe < 0 else probe},{acc:d},{birth:d}")
+        return "\n".join(rows) + "\n"
+
+    @given(st.integers(0, 10_000), st.integers(0, 2**32 - 1))
+    @example(4096, 0)
+    @example(8193, 1)
+    def test_trace_csv_matches_the_row_writer(self, steps, seed):
+        # unprobed (-1) and probed rows (0-64) mixed, counts past the small
+        # ints, and lengths at and across the 4096-row format chunks
+        rng = np.random.default_rng(seed)
+        probe = np.where(rng.random(steps) < 0.3, rng.integers(0, 65, steps), -1)
+        trace = {"count": rng.integers(0, 10**6, steps), "fv_probe_hits": probe,
+                 "accepted": rng.integers(0, 2, steps, dtype=np.uint8), "birth": rng.integers(0, 2, steps, dtype=np.uint8)}
+        estimate = types.SimpleNamespace(trace=trace)
+        config = json.dumps({"seed": seed, "steps": steps})
+        assert cli._trace_csv(estimate, config) == self._row_writer(estimate, config)
 
     def test_same_seed_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

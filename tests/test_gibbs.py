@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import itertools
 import json
 import math
 import multiprocessing
@@ -385,8 +386,8 @@ class TestCellGridScreen:
         k = min(math.floor(cells), int(_CellTable.BUDGET ** (1 / space.n) / 3))
         one = k < 3 or k**space.n < _CellTable.MIN_CELLS
         assert table.ncell == (1 if one else k) or abs(cells - round(cells)) < 1e-6
-        assert table.h >= excl and table.load(pts)
-        i, j = table.near(probes)
+        assert table.h >= excl and table.load(table.code(pts))
+        i, j = table.near(table.code(probes))
         d = distance_batch(probes[i], pts[j], space, region)
         assert (d == brute[i, j]).all()
         blocked = np.bincount(i[d < excl], minlength=len(probes)) > 0
@@ -413,7 +414,8 @@ class TestCellGridScreen:
         chunks = []
         near = _CellTable.near
         monkeypatch.setattr(_CellTable, "near",
-                            lambda table, P: chunks.append((len(P), table.slots[table.nbr[0]].size)) or near(table, P))
+                            lambda table, codes: chunks.append((len(codes), table.slots[table.nbr[0]].size))
+                            or near(table, codes))
         all_pairs = distance_batch(pts[:, None, :], pts[None], space, region)
         exact = all_pairs[np.triu_indices(len(pts), 1)].min()
         assert Configuration(pts, ModelParams(space, region, 1.0)).validate() == exact
@@ -520,8 +522,8 @@ class TestCellTable:
         held, ks, refused = np.empty((0, n)), [], 0
         for X in sets:
             fresh = copy.copy(unused)  # shares only the never-written neighbour rows
-            assert fresh.load(X)
-            loaded = table.load(X)
+            assert fresh.load(fresh.code(X))
+            loaded = table.load(table.code(X))
             assert loaded == (table.ncell == 1 or len(table.slots) * fresh.K <= table.BUDGET)
             if loaded:  # a refused set leaves the table as it was
                 held = X
@@ -533,9 +535,9 @@ class TestCellTable:
 
             probes = self._near_points(space, region, excl, held, rng)
             brute = distance_batch(probes[:, None, :], held[None], space, region)
-            pi, pj = table.near(probes)
+            pi, pj = table.near(table.code(probes))
             if loaded:
-                fi, fj = fresh.near(probes)
+                fi, fj = fresh.near(fresh.code(probes))
                 assert sorted(zip(pi.tolist(), pj.tolist())) == sorted(zip(fi.tolist(), fj.tolist()))
             within = np.nonzero(brute <= excl)
             assert set(zip(*within)) <= set(zip(pi.tolist(), pj.tolist()))
@@ -568,15 +570,104 @@ class TestCellTable:
         # table stays wider than K and its columns past K hold -1
         widths = []
         for X in (crowded, region.sample(space, rng, 20), np.empty((0, n))):
-            assert table.load(X)
+            assert table.load(table.code(X))
             widths.append((table.K, table.slots.shape[1]))
             probes = region.sample(space, rng, 300)
             for P in (probes, probes[:0]):
-                (i, j), (oi, oj) = table.near(P), self._fancy_near(table, P)
+                (i, j), (oi, oj) = table.near(table.code(P)), self._fancy_near(table, P)
                 assert i.dtype == oi.dtype and j.dtype == oj.dtype
                 assert np.array_equal(i, oi) and np.array_equal(j, oj)  # order included
         (K0, w0), (K1, w1), (K2, w2) = widths
         assert K0 == w0 and K1 < w1 and K2 == 0 < w2
+
+    @staticmethod
+    def _point_load(table, X, bounded=True):
+        # ``load`` as it was when it took points and coded them itself
+        home = table.nbr[table.code(X), table.centre]
+        order = np.argsort(home, kind="stable")
+        home = home[order]
+        rank = np.arange(len(X)) - np.searchsorted(home, home)
+        K = int(rank.max(initial=-1)) + 1
+        if bounded and table.ncell > 1 and len(table.slots) * K > table.BUDGET:
+            return False
+        table.slots[table.filed] = -1
+        if K > table.slots.shape[1]:
+            table.slots = np.full((len(table.slots), K), -1, dtype=np.int64)
+        table.filed, table.K = (home, rank), K
+        table.slots[table.filed] = order
+        return True
+
+    @staticmethod
+    def _point_near(table, P):
+        # ``near`` as it was when it took points
+        cells = table.nbr.take(table.code(P), axis=0)
+        width = cells.shape[1] * table.slots.shape[1]
+        cand = table.slots.take(cells, axis=0).reshape(len(P), width)
+        f = np.flatnonzero(cand >= 0)
+        return f // width, cand.take(f)
+
+    @given(spaces(max_n=4), st.sampled_from(["torus", "ball"]), st.data())
+    def test_kept_codes_match_the_point_calls(self, space, kind, data):
+        # the chain's bookkeeping: a centre's code is computed once, in a
+        # batch of proposals and probes, and moves with it on a swap-with-
+        # last death; the torus table has no padding cells, the ball's one
+        # layer, and below 3 cells per axis the table has one cell
+        n, excl = space.n, 2.0 * space.r_unit
+        cells = data.draw(st.floats(1.0, min(30.0, _CellTable.BUDGET ** (1.0 / n) / 3)))
+        region = TorusRegion(cells * excl) if kind == "torus" else SuperballRegion(cells * excl / 2)
+        with mock.patch.object(_CellTable, "MIN_CELLS", 0):
+            table, oracle = _CellTable(space, region, excl), _CellTable(space, region, excl)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        centers, home = np.empty((0, n)), np.empty(0, dtype=np.int64)
+        for _ in range(data.draw(st.integers(1, 8))):
+            Y = self._near_points(space, region, excl, centers, rng)  # proposals
+            Q = np.concatenate([Y, region.sample(space, rng, 16)])  # and probes
+            codes = table.code(Q)
+            assert table.load(np.concatenate([home, codes[: len(Y)]]))
+            assert self._point_load(oracle, np.concatenate([centers, Y]))
+            assert table.K == oracle.K and np.array_equal(table.slots, oracle.slots)
+            for got, want in zip(table.near(codes), self._point_near(oracle, Q)):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+            born = rng.random(len(Y)) < 0.5
+            centers, home = np.concatenate([centers, Y[born]]), np.concatenate([home, codes[: len(Y)][born]])
+            for _ in range(int(rng.integers(len(centers) + 1)) // 2):
+                i = int(rng.integers(len(centers)))
+                centers[i], home[i] = centers[-1], home[-1]
+                centers, home = centers[:-1], home[:-1]
+
+    @staticmethod
+    def _product_nbr(k, n, pad):
+        # the neighbour rows of every (cell, offset) pair, offsets in
+        # itertools.product order, summed over axes in (cells, 3^n) arrays
+        width = k + 2 * pad
+        offsets = np.array(list(itertools.product((-1, 0, 1) if k > 1 else (0,), repeat=n)), dtype=np.int64)
+        real = (np.arange(k**n)[:, None] // k ** np.arange(n, dtype=np.int64)) % k
+        return sum((real[:, a, None] + pad + offsets[:, a]) % width * width**a for a in range(n))
+
+    @given(st.integers(1, 4), st.sampled_from(["torus", "ball"]), st.data())
+    def test_nbr_matches_the_product_construction(self, n, kind, data):
+        space = SpaceParams.create(1.5, tuple(range(n + 1)))
+        excl = 2.0 * space.r_unit
+        cells = data.draw(st.floats(1.0, {1: 300.0, 2: 60.0, 3: 16.0, 4: 9.0}[n]))
+        region = TorusRegion(cells * excl) if kind == "torus" else SuperballRegion(cells * excl / 2)
+        with mock.patch.object(_CellTable, "MIN_CELLS", 0):
+            table = _CellTable(space, region, excl)
+        want = self._product_nbr(table.ncell, n, 0 if kind == "torus" or table.ncell == 1 else 1)
+        assert table.nbr.dtype == want.dtype and np.array_equal(table.nbr, want)
+        assert table.centre == want.shape[1] // 2
+
+    def test_nbr_build_peaks_at_its_output(self):
+        # the 682 x 682 table of a 2D torus of side 1000: the per-axis
+        # (cells, 9) temporaries of a summed construction peak at about
+        # 3.2 times the 33.5 MB table
+        space = SpaceParams.create(1.5, (0, 1, 2))
+        tracemalloc.start()
+        try:
+            table = _CellTable(space, TorusRegion(1000.0), 2 * space.r_unit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.ncell == 682 and peak < 1.1 * table.nbr.nbytes
 
     def test_near_costs_points_not_cells(self):
         # 10^6 cells holding 100 centres, after a crowded set widened the
@@ -589,12 +680,13 @@ class TestCellTable:
         assert table.ncell == 1000
         rng = np.random.default_rng(3)
         X = region.sample(space, rng, 100)
-        assert table.load(np.concatenate([X, X, X]), bounded=False) and table.load(X, bounded=False)
+        assert table.load(table.code(np.concatenate([X, X, X])), bounded=False)
+        assert table.load(table.code(X), bounded=False)
         assert 0 < table.K < table.slots.shape[1]
         probes = region.sample(space, rng, 500)
         tracemalloc.start()
         try:
-            table.near(probes)
+            table.near(table.code(probes))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
