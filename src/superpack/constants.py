@@ -216,10 +216,6 @@ class ClarksonReport:
         return min(self.r3_lower, self.r3_upper)
 
     @property
-    def residuals(self) -> tuple[float, float, float]:
-        return (self.r3, self.r4, self.r5)
-
-    @property
     def ok(self) -> bool:
         tol = 1e-9
         return (

@@ -14,11 +14,11 @@ fraction, is nondecreasing in lam, and lam vol(S) alpha'(lam) equals
 Var|X|. The sampler targets this measure with single insertions and
 deletions accepted at the textbook grand canonical rates.
 
-Deterministic evaluation routes exist for one-dimensional regions
-(closed forms for both the interval and the ring) and for t <= 4 in
-n <= 2 (midpoint quadrature under a fixed flop budget); a Monte
-Carlo packing-probability estimator covers everything else and reports
-its standard error.
+Canonical weights have closed forms for t <= 1 in any region and for
+every t in one dimension (hard rods on the interval and the ring); a
+Monte Carlo packing-probability estimator covers everything else and
+reports its standard error. ``grand_partition`` composes closed forms
+only.
 """
 from __future__ import annotations
 
@@ -133,68 +133,25 @@ class Configuration:
         return dmin
 
 
-def _closed_form_1d(t: int, params: ModelParams) -> float:
-    """Hard rods: interval and ring partition functions.
+def _closed_form(t: int, params: ModelParams) -> float:
+    """Zhat(t) for t <= 1 anywhere, and for hard rods at any t.
 
-    Interval of length L: (L - (t-1) s)_+^t / t!. Ring of circumference
-    L: L (L - t s)_+^(t-1) / t!. Both count unordered configurations
-    with pairwise distance >= s = 2r.
+    Zhat(0) = 1 and Zhat(1) = V. Interval of length L:
+    (L - (t-1) s)_+^t / t!. Ring of circumference L:
+    L (L - t s)_+^(t-1) / t!. Both count unordered configurations with
+    pairwise distance >= s = 2r.
     """
     s = params.exclusion
     L = params.volume
     if t == 0:
         return 1.0
+    if t == 1:
+        return L
     if isinstance(params.region, TorusRegion):
-        if t == 1:
-            return L
         gap = L - t * s
         return L * gap ** (t - 1) / math.factorial(t) if gap > 0 else 0.0
     gap = L - (t - 1) * s
     return gap**t / math.factorial(t) if gap > 0 else 0.0
-
-
-def _quad_grid(params: ModelParams, points_per_axis: int):
-    """Midpoint grid restricted to the region; returns (points, weight)."""
-    space, region = params.space, params.region
-    n = space.n
-    if isinstance(region, TorusRegion):
-        lo, hi = 0.0, region.side
-    else:
-        lo, hi = -region.radius, region.radius
-    step = (hi - lo) / points_per_axis
-    axis = lo + step * (np.arange(points_per_axis) + 0.5)
-    pts = np.stack(np.meshgrid(*([axis] * n), indexing="ij"), axis=-1).reshape(-1, n)
-    if isinstance(region, SuperballRegion):
-        pts = pts[region.contains_points(pts, space)]
-    return pts, step**n
-
-
-def _quadrature(t: int, params: ModelParams) -> float:
-    n = params.space.n
-    if n > 2 or t > 4:
-        raise InputError("quadrature route supports n <= 2 and t <= 4 only")
-    # keep the pair/triple/quadruple counting under a fixed flop budget
-    per_t = {2: 4096, 3: 420, 4: 150}
-    pts, w = _quad_grid(params, max(3, int(per_t[t] ** (1.0 / n))))
-    M = len(pts)
-    if M == 0:
-        return 0.0
-    ok = distance_batch(pts[:, None, :], pts[None], params.space, params.region) >= params.exclusion
-    np.fill_diagonal(ok, False)
-    if t == 2:
-        ordered = float(ok.sum())
-    elif t == 3:
-        A = ok.astype(np.float32)
-        ordered = float(((A @ A) * A).sum())
-    else:
-        A = ok.astype(np.float32)
-        total = 0.0
-        ii, jj = np.nonzero(np.triu(ok, 1))
-        for i, j in zip(ii, jj):
-            v = A[i] * A[j]
-            total += 2.0 * float(v @ A @ v)
-        ordered = total
-    return w**t * ordered / math.factorial(t)
 
 
 def packing_hits(params: ModelParams, t: int, samples: int, rng) -> int:
@@ -246,28 +203,22 @@ def canonical_partition(
 ) -> PartitionEstimate:
     """Canonical configuration integral Zhat(t) for t superballs.
 
-    ``method`` chooses the route: "auto" prefers closed forms (t <= 1
-    anywhere, any t in one dimension), then quadrature (n <= 2, t <= 4),
-    then Monte Carlo. Deterministic routes report se = 0.
+    ``method`` chooses the route: "closed_form" (t <= 1 anywhere, any t
+    in one dimension) with se = 0, or "mc", the packing-probability
+    estimate from ``packing_hits`` with its standard error. "auto" takes
+    the closed form where one exists and Monte Carlo otherwise.
     """
     if not isinstance(t, (int, np.integer)) or t < 0:
         raise InputError(f"t must be a nonnegative integer, got {t!r}")
     t = int(t)
-    if method not in ("auto", "closed_form", "quadrature", "mc"):
+    if method not in ("auto", "closed_form", "mc"):
         raise InputError(f"unknown method {method!r}")
 
     have_closed = t <= 1 or params.space.n == 1
     if method == "closed_form" and not have_closed:
         raise InputError("no closed form for this region and t")
     if method in ("closed_form", "auto") and have_closed:
-        if t == 0:
-            return PartitionEstimate(t, 1.0, 0.0, "closed_form")
-        if t == 1:
-            return PartitionEstimate(t, params.volume, 0.0, "closed_form")
-        return PartitionEstimate(t, _closed_form_1d(t, params), 0.0, "closed_form")
-
-    if method == "quadrature" or (method == "auto" and params.space.n <= 2 and t <= 4):
-        return PartitionEstimate(t, _quadrature(t, params), 0.0, "quadrature")
+        return PartitionEstimate(t, _closed_form(t, params), 0.0, "closed_form")
 
     value, se = _mc_partition(t, params, mc_samples, seed)
     return PartitionEstimate(t, value, se, "mc")
@@ -280,10 +231,6 @@ class GrandPartition:
     log_terms: tuple[float, ...]  # log(lam^t Zhat(t)), -inf where Zhat = 0
     t_max: int
     capacity_truncated: bool
-
-    @property
-    def terms(self) -> tuple[float, ...]:
-        return tuple(math.exp(x) for x in self.log_terms)
 
 
 def _auto_t_max(lam: float, V: float) -> int:
@@ -298,24 +245,25 @@ def _auto_t_max(lam: float, V: float) -> int:
 
 
 def grand_partition(params: ModelParams, t_max: int | None = None) -> GrandPartition:
-    """Z(lam) summed over deterministic canonical values.
+    """Z(lam) summed over closed-form canonical values.
 
     The truncation point must make the crude tail term
     lam^t vol^t / t! fall below 1e-15 (a Poisson bound on everything
     dropped); an explicit t_max that fails this raises ComputationError.
-    Regions with no deterministic route for some needed t also raise.
+    Regions with no closed form for some needed t (any t >= 2 when
+    n >= 2) also raise.
     """
     lam = params.fugacity
     V = params.volume
 
     def exact_zhat(t):
-        est = canonical_partition(t, params, "auto")
-        if est.method == "mc" or est.se != 0.0:
+        try:
+            return canonical_partition(t, params, "closed_form").value
+        except InputError as err:
             raise ComputationError(
                 f"no deterministic route for Zhat({t}) in this region; "
                 "grand_partition only composes exact terms"
-            )
-        return est.value
+            ) from err
 
     auto = _auto_t_max(lam, V)
     if t_max is None:

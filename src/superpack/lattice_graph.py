@@ -498,7 +498,8 @@ def emit_packing(graph: GeoGraph, independent_set: np.ndarray) -> PackingCertifi
     independent_set = np.asarray(independent_set, dtype=np.int64)
     if len(independent_set) == 0:
         raise InputError("refusing to certify an empty packing")
-    if len(np.unique(independent_set)) != len(independent_set):
+    ordered = np.sort(independent_set)
+    if (ordered[1:] == ordered[:-1]).any():
         raise InputError("independent set contains duplicates")
     params = graph.lattice.params
     space = params.space

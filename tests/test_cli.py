@@ -436,6 +436,23 @@ def test_cli_start_up_imports_no_scipy():
     assert run.returncode == 0, run.stderr
 
 
+NO_MA_OR_SCIPY_IN_PACK = (
+    "import sys; from superpack.cli import main; "
+    "assert main(['pack', '--p', '1.5', '--cuts', '0,1,2', '--R', '40', '--eps', '0.3', '--out', sys.argv[1]]) == 0; "
+    "assert main(['verify', '--in', sys.argv[1], '--out', sys.argv[2]]) == 0; "
+    "bad = sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma'] or m.split('.')[0] == 'scipy'); "
+    "sys.exit(f'imported: {bad}' if bad else 0)"
+)
+
+
+def test_pack_and_verify_import_no_numpy_ma_or_scipy(tmp_path):
+    src = str(pathlib.Path(superpack.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-c", NO_MA_OR_SCIPY_IN_PACK, str(tmp_path / "cert.json"), str(tmp_path / "verify.json")]
+    run = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+
+
 @pytest.mark.parametrize("argv", [
     TestPackVerify.PACK[:-4] + ["--R", "inf", "--eps", "0.1"],
     TestPackVerify.PACK[:-4] + ["--R", "nan", "--eps", "0.1"],

@@ -273,6 +273,23 @@ class TestDensityBound:
             assert z_star == pytest.approx(row["z_star_at_threshold"], abs=1e-12)
             assert floor == pytest.approx(row["alpha_floor_at_threshold"], rel=1e-9, abs=1e-12)
 
+    @pytest.mark.parametrize("n, p, at_threshold_power", [(8, 1.5, False), (48, 2.0, True)])
+    def test_floor_log_form_against_mpmath(self, n, p, at_threshold_power):
+        # log(lam 2^n e^{2 lam c_p^n}) > 1 here, so z* comes from the log
+        # form of W, which no tabled threshold reaches
+        mpmath = pytest.importorskip("mpmath")
+        b = density_lower_bound(n, p)
+        lam = b.c_p ** (-float(n)) if at_threshold_power else 1.0
+        assert math.log(lam) + n * math.log(2.0) + 2.0 * lam * b.c_p**n > 1.0
+        z_star, floor = b.alpha_floor(lam)
+        with mpmath.workdps(50):
+            lam_mp = mpmath.mpf(lam)
+            log_arg = mpmath.log(lam_mp) + n * mpmath.log(2) + 2 * lam_mp * mpmath.mpf(b.c_p) ** n
+            z_ref = mpmath.lambertw(mpmath.exp(log_arg)).real
+            floor_ref = lam_mp * mpmath.exp(-z_ref)
+            assert z_star == pytest.approx(float(z_ref), rel=1e-12)
+            assert floor == pytest.approx(float(floor_ref), rel=1e-12)
+
     def test_n1(self):
         b = density_lower_bound(1, 2.0)
         chain = compute_constant_chain(2.0)

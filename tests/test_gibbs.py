@@ -82,26 +82,31 @@ class TestCanonicalPartition:
         mc = canonical_partition(4, params, "mc", mc_samples=200_000, seed=17)
         assert abs(mc.value - cf.value) <= 4 * mc.se
 
-    def test_quadrature_1d_against_closed_form(self):
-        params = ring(20.0, 1.0)
-        q = canonical_partition(3, params, "quadrature")
-        assert q.value == pytest.approx(ring_zhat(20.0, 1.0, 3), rel=2e-2)
-
-    def test_quadrature_2d_pair_formula(self):
+    def test_2d_pair_integral_mc(self):
         # torus pair integral: (V^2 - V * vol(B(2r))) / 2 when 2r < L/2
         space = SpaceParams.create(1.5, (0, 1, 2))
         L = 8 * space.r_unit
         params = ModelParams(space, TorusRegion(L), 1.0)
         V = L**2
         exact = (V * V - V * 2.0**2) / 2.0
-        q = canonical_partition(2, params, "quadrature")
-        assert q.value == pytest.approx(exact, rel=2e-2)
         mc = canonical_partition(2, params, "mc", mc_samples=200_000, seed=3)
         assert abs(mc.value - exact) <= 4 * mc.se
+        auto = canonical_partition(2, params)
+        assert auto.method == "mc" and auto.se > 0
 
-    def test_quadrature_rejects_large_t(self):
-        with pytest.raises(InputError):
-            canonical_partition(5, ring(20.0, 1.0), "quadrature")
+    @pytest.mark.parametrize("t", [2, 3, 4])
+    @pytest.mark.parametrize("region", ["torus", "ball"])
+    def test_2d_auto_is_mc_with_its_se(self, t, region):
+        # no closed form past t = 1 in two dimensions: auto must report
+        # the Monte Carlo standard error, not a deterministic se = 0
+        space = SpaceParams.create(1.5, (0, 1, 2))
+        shape = TorusRegion(6 * space.r_unit) if region == "torus" else SuperballRegion(5 * space.r_unit)
+        est = canonical_partition(t, ModelParams(space, shape, 1.0))
+        assert est.method == "mc" and est.se > 0
+
+    def test_quadrature_is_unknown_method(self):
+        with pytest.raises(InputError, match="unknown method"):
+            canonical_partition(2, ring(20.0, 1.0), "quadrature")
 
     def test_capacity_zero(self):
         # interval shorter than the exclusion cannot hold two rods
@@ -154,6 +159,15 @@ class TestGrandPartition:
         space = SpaceParams.create(2.0, (0, 3))
         params = ModelParams(space, TorusRegion(8.0), 1.0)
         with pytest.raises(ComputationError):
+            grand_partition(params)
+
+    def test_2d_torus_raises_not_truncated(self):
+        # every t >= 2 term in two dimensions is a Monte Carlo estimate,
+        # so no exact Z exists to compose
+        space = SpaceParams.create(1.5, (0, 1, 2))
+        with pytest.warns(UserWarning, match="half the torus side"):
+            params = ModelParams(space, TorusRegion(3.75 * space.r_unit), 2.0)
+        with pytest.raises(ComputationError, match="exact terms"):
             grand_partition(params)
 
     def test_moments_match_test_side_sum(self):

@@ -405,6 +405,23 @@ class TestSparsityStats:
         with pytest.raises(ComputationError):
             local_sparsity_stats(g)
 
+    def test_band_offsets_against_all_pairs_triangles(self):
+        # p = 2 at this radius puts 12 offsets in the rounding band, so the
+        # per-pair branch of half_edges feeds the triangle counts
+        space = SpaceParams.create(2.0, (0, 2))
+        lat = build_lattice(1.5, 0.1, space)
+        g = build_graph(lat, radius=0.25)
+        assert lat.N == 640 and len(g.band) == 12
+        reps = lat.representatives()
+        adj = norm_batch(reps[:, None, :] - reps[None, :, :], space) < 2.0 * g.radius
+        np.fill_diagonal(adj, False)
+        A = adj.astype(np.int64)
+        deg = A.sum(axis=1)
+        avg = np.where(deg > 0, ((A @ A) * A).sum(axis=1) / np.maximum(deg, 1), 0.0)
+        stats = local_sparsity_stats(g)
+        assert stats["max_avg_neighborhood_degree"] == pytest.approx(avg.max(), rel=1e-12)
+        assert stats["mean_avg_neighborhood_degree"] == pytest.approx(avg.mean(), rel=1e-12)
+
     def test_edgeless_graph(self):
         lat = build_lattice(1.0, 0.25, LINE)
         g = build_graph(lat, radius=0.05)
@@ -533,6 +550,21 @@ class TestJsonText:
     def test_matches_json_dumps(self, x):
         expected = json.dumps(_null_mapped(x), indent=1, sort_keys=True, allow_nan=False) + "\n"
         assert lattice_graph.json_text(x) == expected
+
+
+class TestWriteText:
+    def test_failed_replace_keeps_target_and_leaves_no_tmp(self, tmp_path, monkeypatch):
+        target = tmp_path / "out.json"
+        target.write_text("old\n")
+
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(lattice_graph.os, "replace", refuse)
+        with pytest.raises(OSError, match="replace refused"):
+            lattice_graph.write_text(target, "new\n")
+        assert target.read_text() == "old\n"
+        assert list(tmp_path.glob("*.tmp")) == []
 
 
 class TestCertificates:
