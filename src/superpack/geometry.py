@@ -231,7 +231,7 @@ class SpaceParams:
 
 def _rowsum(A: np.ndarray) -> np.ndarray:
     """``A.sum(axis=-1)`` bit for bit: below 8 terms numpy adds them in index order to +0.0."""
-    if not 0 < A.shape[-1] < 8:  # numpy's unrolled pairwise sums
+    if not 0 < A.shape[-1] < 8 or A.size < 64 * A.shape[-1]:  # pairwise sums, or under 64 rows
         return A.sum(axis=-1)
     return sum((A[..., c] for c in range(1, A.shape[-1])), A[..., 0] + 0.0)
 

@@ -63,7 +63,7 @@ __all__ = [
 _TAIL_CUTOFF = 1e-15
 FV_PROBES = 64  # free-volume probe points per probed step
 FV_STRIDE = 8  # probe every FV_STRIDE-th recorded step
-BLOCK = 64  # chain steps drawn and screened together
+BLOCK = 64  # chain steps drawn together (a draw block)
 VALIDATE_EVERY = 4096  # accepted moves between full hard-core rechecks
 
 
@@ -178,11 +178,12 @@ def packing_hits(params: ModelParams, t: int, samples: int, rng) -> int:
 
 
 def _mc_partition(t, params, samples, seed):
+    """(value, se) of Zhat(t) = phat V^t / t!; no packing gives (0, inf), a one-sided 3 V^t / (t! samples)."""
     if not (isinstance(samples, (int, np.integer)) and samples >= 1):
         raise InputError(f"mc_samples must be a positive integer, got {samples}")
     phat = packing_hits(params, t, samples, np.random.default_rng(seed)) / samples
     scale = math.exp(t * math.log(params.volume) - math.lgamma(t + 1))
-    return phat * scale, scale * math.sqrt(phat * (1.0 - phat) / samples)
+    return phat * scale, scale * math.sqrt(phat * (1.0 - phat) / samples) if phat else math.inf
 
 
 @dataclass(frozen=True)
@@ -205,8 +206,8 @@ def canonical_partition(
 
     ``method`` chooses the route: "closed_form" (t <= 1 anywhere, any t
     in one dimension) with se = 0, or "mc", the packing-probability
-    estimate from ``packing_hits`` with its standard error. "auto" takes
-    the closed form where one exists and Monte Carlo otherwise.
+    estimate from ``packing_hits`` with its standard error (inf when no
+    sample packs). "auto" takes the closed form where one exists.
     """
     if not isinstance(t, (int, np.integer)) or t < 0:
         raise InputError(f"t must be a nonnegative integer, got {t!r}")
@@ -382,6 +383,12 @@ def _batch_var_se(series: np.ndarray, nbatch: int = 32) -> float:
     return float(bv.std(ddof=1) / math.sqrt(nbatch))
 
 
+def _blocks_per_span(table: _CellTable) -> int:
+    """Draw blocks per chain screen, >= 1: a screen's fixed cost falls as 1/span while its
+    probe-by-proposal pairs grow as span^2 3^n / cells, so span ~ sqrt(cells / 3^n)."""
+    return max(1, round(math.sqrt(len(table.nbr) / table.nbr.shape[1]) / 3))
+
+
 def run_chain(
     params: ModelParams,
     steps: int,
@@ -400,7 +407,7 @@ def run_chain(
     ``burn_in``, and free-volume probes run on every 8th of those
     (``FV_STRIDE``) with 64 fresh uniform points each (``FV_PROBES``).
 
-    Steps run in blocks of b = min(64, steps left) (``BLOCK``). A block
+    Draws come in blocks of b = min(64, steps left) (``BLOCK``). A block
     draws from the one generator in this order: b coins (birth below
     1/2), one ``region.sample`` with a proposal per birth coin, b
     Metropolis uniforms, b death uniforms (a death picks center
@@ -409,29 +416,31 @@ def run_chain(
     discarded, so the law is that of the step-by-step kernel and the
     run is bit-for-bit reproducible from the seed.
 
-    One screen per block finds each proposal's partners within the
-    exclusion distance among the block-start centers and the block's
-    earlier proposals, and each probe's among all of them. A proposal is
-    blocked only by a partner alive at its step, so every accepted
+    Steps run in spans of m draw blocks (``_blocks_per_span``, 1 on a
+    one-cell table): a span makes its blocks' draws in turn, then one
+    screen finds each proposal's partners within the exclusion distance
+    among the span-start centers and the span's earlier proposals, and
+    each probe's among all of them. A proposal is blocked only by a
+    partner alive at its step, so every accepted
     insertion clears all current centers, and the hard-core invariant
     holds by induction; it is also re-validated from scratch every 4096
     accepted moves (``VALIDATE_EVERY``) and at the end, through
     ``geometry.min_pairwise``. A probe is free when no center lies
-    within the exclusion distance at its step. Label j (a block-start
+    within the exclusion distance at its step. Label j (a span-start
     center, or t0 + k for proposal k) is a center at the end of step s
-    when born_j <= s < died_j: block-start centers are born at -1 and
+    when born_j <= s < died_j: span-start centers are born at -1 and
     labels never deleted die at ``steps``. The step loop sets them in
-    int64 arrays; the block's probes are tested against them after it.
+    int64 arrays; the span's probes are tested against them after it.
 
     The count and probe-hit series (-1 where no probe ran) are kept
     for every step; with ``collect_trace`` the estimate carries them,
     with the per-step acceptance and move type, as ``trace``.
 
     The screen goes through one ``geometry._CellTable`` with cell side
-    at least the exclusion, built at step 0 and refiled at each block
-    start with the block-start centers and the proposals, at a cost in
+    at least the exclusion, built at step 0 and refiled at each span
+    start with the span-start centers and the proposals, at a cost in
     points, not cells. Each center keeps its cell code beside it (moved
-    with it on a death), so a block codes only its proposals and probes.
+    with it on a death), so a span codes only its proposals and probes.
     These gather the labels of their 3^n neighbour cells in one batch,
     and only gathered labels get the exact distance test. Where the
     region leaves the table one cell (fewer than 3 cells per axis or 64
@@ -451,7 +460,9 @@ def run_chain(
     rng = np.random.default_rng(seed)
     table = _CellTable(space, region, excl)
     grid = table.ncell > 1  # else one cell: every screen tests all pairs
-    later, earlier = np.tril_indices(BLOCK, -1)  # proposal pairs, row-major
+    span = BLOCK * _blocks_per_span(table)
+    if not grid:
+        later, earlier = np.tril_indices(span, -1)  # proposal pairs, row-major
 
     centers = np.empty((64, n))
     home = np.empty(64, dtype=np.int64)  # cell code of each centre
@@ -466,19 +477,23 @@ def run_chain(
     if collect_trace:
         tr_birth = np.zeros(steps, dtype=np.uint8)
 
-    for s0 in range(0, steps, BLOCK):
-        b = min(BLOCK, steps - s0)
-        coins = rng.random(b) < 0.5
-        Y = region.sample(space, rng, int(coins.sum()))
-        u_acc = rng.random(b).tolist()
-        u_die = rng.random(b).tolist()
+    for s0 in range(0, steps, span):
+        b = min(span, steps - s0)
         first = max(s0, burn_in)
-        first += -(first - burn_in) % FV_STRIDE  # the block's first probed step
+        first += -(first - burn_in) % FV_STRIDE  # the span's first probed step
         probed = range(first, s0 + b, FV_STRIDE)
-        probes = region.sample(space, rng, FV_PROBES * len(probed)).reshape(-1, FV_PROBES, n)
+        draws = []
+        for c0 in range(s0, s0 + b, BLOCK):  # each draw block's five calls, in order
+            c = min(BLOCK, s0 + b - c0)
+            coins = rng.random(c) < 0.5
+            probed_here = len(range(first, c0 + c, FV_STRIDE)) - len(range(first, c0, FV_STRIDE))
+            draws.append((coins, region.sample(space, rng, int(coins.sum())), rng.random(c), rng.random(c),
+                          region.sample(space, rng, FV_PROBES * probed_here)))
+        coins, Y, u_acc, u_die, probes = (np.concatenate(d) for d in zip(*draws))
+        u_acc, u_die, probes = u_acc.tolist(), u_die.tolist(), probes.reshape(-1, FV_PROBES, n)
 
         # candidate partners of each proposal (row k of Q) among the
-        # block-start centres (labels 0..t0-1 of X) and earlier proposals
+        # span-start centres (labels 0..t0-1 of X) and earlier proposals
         # (labels t0 + k' of X); with a table, also those of every probe
         t0, nb = t, len(Y)
         X = np.concatenate([centers[:t0], Y])
@@ -489,7 +504,7 @@ def run_chain(
             who = np.concatenate([np.repeat(np.arange(nb), t0), later[:pairs]])
             lbl = np.concatenate([np.tile(np.arange(t0), nb), earlier[:pairs] + t0])
         else:
-            table.load(np.concatenate([home[:t0], codes[:nb]]), bounded=False)  # hard-core cells, <= 64 proposals
+            table.load(np.concatenate([home[:t0], codes[:nb]]), bounded=False)  # hard-core cells, <= span proposals
             who, lbl = table.near(codes)
             keep = lbl < t0 + who  # drops a proposal's own and later labels only
             who, lbl = who[keep], lbl[keep]

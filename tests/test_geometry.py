@@ -145,6 +145,15 @@ class TestNorm:
         with np.errstate(over="ignore", invalid="ignore"):  # inf - inf and overflow, alike on both sides
             assert geometry._rowsum(A).tobytes() == A.sum(axis=-1).tobytes()
 
+    @given(_rowsum_arrays())
+    @example(np.array([[1.0, 1e-16, 1e-16]]))
+    @example(np.full((2, 3), -0.0))
+    def test_rowsum_column_loop_is_numpys_sum_bit_for_bit(self, A):
+        # the same arrays stacked to 64 rows and more, past numpy's own sum
+        A = np.tile(A.reshape(-1, A.shape[-1]), (64, 1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert geometry._rowsum(A).tobytes() == A.sum(axis=-1).tobytes()
+
     @pytest.mark.parametrize("path", ["p2", "one-block", "lp", "blocks"])
     @given(st.one_of(st.just(1.0), st.floats(1.0, 2.0, exclude_max=True)), st.data())
     def test_norm_paths_match_numpys_sum(self, path, p, data):

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import spaces
@@ -103,6 +103,14 @@ class TestCanonicalPartition:
         shape = TorusRegion(6 * space.r_unit) if region == "torus" else SuperballRegion(5 * space.r_unit)
         est = canonical_partition(t, ModelParams(space, shape, 1.0))
         assert est.method == "mc" and est.se > 0
+
+    def test_mc_without_a_packing_is_a_bound(self):
+        # 20 superballs fill a fifth of this torus: no sample of 4000 packs,
+        # which bounds Zhat(20) from above only, so the error is not 0
+        space = SpaceParams.create(1.5, (0, 1, 2))
+        params = ModelParams(space, TorusRegion(10 * space.r_unit), 1.0)
+        est = canonical_partition(20, params, mc_samples=4000)
+        assert (est.value, est.se, est.method) == (0.0, math.inf, "mc")
 
     def test_quadrature_is_unknown_method(self):
         with pytest.raises(InputError, match="unknown method"):
@@ -707,23 +715,28 @@ class TestCellTable:
         assert peak < 1e6
 
 
-def _replay(params, steps, burn_in, seed):
+def _replay(params, steps, burn_in, seed, span):
     """``run_chain``'s documented draw layout, replayed one step at a time.
 
     The live centres sit in a plain list, deleted by swap with the last
     one as the chain's index draw assumes, and every screen tests all
-    pairs: no cell table and no batched screen. Returns the trace, the
-    blocked births, and two (births, probes) pairs of counts: those
-    blocked or hit only by centres born earlier in their block, and the
-    free ones close to a centre deleted earlier in their block.
+    pairs: no cell table and no batched screen. ``span`` is the chain's
+    screen span in steps. Returns the trace, the blocked births, and
+    counts of the events a batched screen must get right: births blocked
+    and probes hit only by centres born earlier in their span, free
+    births and probes close to a centre deleted earlier in their span,
+    and of these, the blocks, hits and free probes that involve only
+    centres born or deleted in an earlier draw block of the span.
     """
     space, region, excl = params.space, params.region, params.exclusion
     lamV = params.fugacity * params.volume
     rng = np.random.default_rng(seed)
-    live, born = [], []  # born: the block in which each live centre was born
+    live, born, gone = [], [], []  # born: the step of each live centre; gone: (centre, step deleted)
     trace = {"count": np.empty(steps, dtype=np.int64), "fv_probe_hits": np.full(steps, -1, dtype=np.int64),
              "accepted": np.zeros(steps, dtype=np.uint8), "birth": np.zeros(steps, dtype=np.uint8)}
-    blocked = same_block = void = probe_same_block = probe_void = 0
+    blocked, events = 0, dict.fromkeys(["blocked in span", "hit in span", "free birth near a span death",
+                                        "free probe near a span death", "blocked across blocks",
+                                        "hit across blocks", "free probe near an earlier block's death"], 0)
     for s0 in range(0, steps, gibbs.BLOCK):
         b = min(gibbs.BLOCK, steps - s0)
         coins = rng.random(b) < 0.5
@@ -731,7 +744,9 @@ def _replay(params, steps, burn_in, seed):
         u_acc, u_die = rng.random(b), rng.random(b)
         probed = [s for s in range(s0, s0 + b) if s >= burn_in and (s - burn_in) % gibbs.FV_STRIDE == 0]
         probes = iter(region.sample(space, rng, gibbs.FV_PROBES * len(probed)).reshape(len(probed), gibbs.FV_PROBES, space.n))
-        gone = []  # centres deleted earlier in this block
+        start = s0 - s0 % span  # the span's first step
+        if s0 == start:
+            gone = []
         for step in range(s0, s0 + b):
             r, t = step - s0, len(live)
             trace["birth"][step] = coins[r]
@@ -740,16 +755,18 @@ def _replay(params, steps, burn_in, seed):
                 close = np.flatnonzero(distance_batch(np.reshape(live, (t, space.n)), y, space, region) < excl)
                 if len(close):
                     blocked += 1
-                    same_block += all(born[k] == s0 for k in close)
+                    events["blocked in span"] += all(born[k] >= start for k in close)
+                    events["blocked across blocks"] += all(start <= born[k] < s0 for k in close)
                 else:
-                    void += bool(gone) and bool((distance_batch(np.array(gone), y, space, region) < excl).any())
+                    events["free birth near a span death"] += any(
+                        distance_batch(x, y, space, region) < excl for x, _ in gone)
                     if u_acc[r] < lamV / (t + 1):
                         live.append(y)
-                        born.append(s0)
+                        born.append(step)
                         trace["accepted"][step] = 1
             elif t and u_acc[r] < t / lamV:
                 i = min(int(u_die[r] * t), t - 1)
-                gone.append(live[i])
+                gone.append((live[i], step))
                 live[i], born[i] = live[-1], born[-1]
                 live.pop()
                 born.pop()
@@ -760,52 +777,115 @@ def _replay(params, steps, burn_in, seed):
                 close = distance_batch(P[:, None, :], np.reshape(live, (1, len(live), space.n)), space, region) < excl
                 free = ~close.any(axis=1)
                 trace["fv_probe_hits"][step] = int(free.sum())
-                probe_same_block += int((~free & ~close[:, np.array(born, dtype=int) != s0].any(axis=1)).sum())
+                born_at = np.array(born, dtype=int)
+                events["hit in span"] += int((~free & ~close[:, born_at < start].any(axis=1)).sum())
+                outside = (born_at < start) | (born_at >= s0)  # born before the span or in this block
+                events["hit across blocks"] += int((~free & ~close[:, outside].any(axis=1)).sum())
                 if gone:
-                    near_gone = distance_batch(P[:, None, :], np.array(gone)[None], space, region) < excl
-                    probe_void += int((free & near_gone.any(axis=1)).sum())
-    return trace, blocked, (same_block, probe_same_block), (void, probe_void)
+                    dead, died = np.array([x for x, _ in gone]), np.array([d for _, d in gone])
+                    near_gone = distance_batch(P[:, None, :], dead[None], space, region) < excl
+                    events["free probe near a span death"] += int((free & near_gone.any(axis=1)).sum())
+                    earlier = near_gone[:, died < s0].any(axis=1)
+                    events["free probe near an earlier block's death"] += int((free & earlier).sum())
+    return trace, blocked, events
 
 
 class TestBlockLayout:
     """``run_chain`` against a step-by-step replay of its draw layout."""
 
-    CASES = {  # (p, cuts), region, size in r_unit, activity, steps, burn_in, seed, table?
-        "torus-2d-table": ((1.5, (0, 1, 2)), "torus", 30, 5.0, 3000, 1000, 31, True),
-        "torus-3d-one-cell": ((1.2, (0, 1, 3)), "torus", 6, 4.0, 2000, 300, 32, False),
-        "ball-1d": ((1.3, (0, 1)), "ball", 40, 2.0, 2000, 500, 33, False),
-        "ball-2d": ((2.0, (0, 2)), "ball", 30, 3.0, 2000, 500, 34, True),
-        "dense-one-cell": ((1.5, (0, 1, 2)), "torus", 8, 40.0, 3000, 100, 35, False),
-        "dense-table": ((1.5, (0, 1, 2)), "torus", 20, 40.0, 3000, 100, 36, True),
-        "under-one-block": ((1.5, (0, 1, 2)), "torus", 30, 5.0, 40, 5, 37, True),
-        "partial-last-block": ((1.5, (0, 1, 2)), "torus", 30, 5.0, 203, 70, 38, True),
-        "many-cells-few-centres": ((1.5, (0, 1, 2)), "torus", 300, 1.0, 400, 100, 39, True),
+    CASES = {  # (p, cuts), region, size in r_unit, activity, steps, burn_in, seed, draw blocks per span
+        "torus-2d-table": ((1.5, (0, 1, 2)), "torus", 30, 5.0, 3000, 1000, 31, 2),
+        "torus-3d-one-cell": ((1.2, (0, 1, 3)), "torus", 6, 4.0, 2000, 300, 32, 0),
+        "ball-1d": ((1.3, (0, 1)), "ball", 40, 2.0, 2000, 500, 33, 0),
+        "ball-2d": ((2.0, (0, 2)), "ball", 30, 3.0, 2000, 500, 34, 3),
+        "dense-one-cell": ((1.5, (0, 1, 2)), "torus", 8, 40.0, 3000, 100, 35, 0),
+        "dense-table": ((1.5, (0, 1, 2)), "torus", 20, 40.0, 3000, 100, 36, 1),
+        "under-one-block": ((1.5, (0, 1, 2)), "torus", 30, 5.0, 40, 5, 37, 2),
+        "partial-last-block": ((1.5, (0, 1, 2)), "torus", 30, 5.0, 203, 70, 38, 2),
+        "many-cells-few-centres": ((1.5, (0, 1, 2)), "torus", 300, 1.0, 400, 100, 39, 17),
+        "dense-span": ((1.5, (0, 1, 2)), "torus", 60, 40.0, 3000, 100, 40, 3),
+        "partial-last-span": ((1.5, (0, 1, 2)), "torus", 60, 5.0, 2011, 250, 41, 3),
     }
+    # cases whose screens meet every event ``_replay`` counts: those of
+    # one span for one-block spans, those across draw blocks for longer ones
+    EVENTFUL = {"dense-one-cell", "dense-table", "dense-span", "partial-last-span"}
+    IN_SPAN = ["blocked in span", "hit in span", "free birth near a span death", "free probe near a span death"]
+    ACROSS = ["blocked across blocks", "hit across blocks", "free probe near an earlier block's death"]
 
-    @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
-    def test_matches_step_by_step_replay(self, case):
-        self._check(case)
+    @pytest.mark.parametrize("name", CASES)
+    def test_matches_step_by_step_replay(self, name):
+        events = self._check(self.CASES[name])[1]
+        if name in self.EVENTFUL:
+            keys = self.ACROSS if self.CASES[name][-1] > 1 else self.IN_SPAN
+            assert min(events[k] for k in keys) > 0, events
 
     def test_block_without_a_birth(self):
         # the 3-step last block of this seed draws no proposal at all
-        trace = self._check(((1.5, (0, 1, 2)), "torus", 30, 5.0, 67, 10, 6, True))
+        trace = self._check(((1.5, (0, 1, 2)), "torus", 30, 5.0, 67, 10, 6, 2))[0]
         assert not trace["birth"][64:].any()
 
     @staticmethod
     def _check(case):
-        (p, cuts), kind, size, lam, steps, burn, seed, has_table = case
+        (p, cuts), kind, size, lam, steps, burn, seed, blocks = case
         space = SpaceParams.create(p, cuts)
         region = (TorusRegion if kind == "torus" else SuperballRegion)(size * space.r_unit)
         params = ModelParams(space, region, lam)
-        assert (_CellTable(space, region, params.exclusion).ncell > 1) == has_table
+        table = _CellTable(space, region, params.exclusion)
+        assert (table.ncell > 1) == (blocks > 0) and gibbs._blocks_per_span(table) == max(blocks, 1)
         est = run_chain(params, steps, burn, seed, collect_trace=True)
-        trace, blocked, same_block, void = _replay(params, steps, burn, seed)
+        trace, blocked, events = _replay(params, steps, burn, seed, gibbs.BLOCK * max(blocks, 1))
         for key in trace:
             assert est.trace[key].tobytes() == trace[key].tobytes(), key
         assert est.births_blocked == blocked
-        if lam > 10:  # the in-block cases the batched screens must get right, births and probes
-            assert min(same_block + void) > 0
-        return trace
+        return trace, events
+
+    # spans the rule gives: (p, cuts), torus side (absolute, or in r_unit), steps per span
+    SPANS = {
+        "pressure": ((1.5, (0, 1, 2)), 20.0, False, 128),
+        "chain": ((1.5, (0, 1, 2)), 60.0, False, 320),
+        "torus-3d": ((1.5, (0, 1, 2, 3)), 12.0, True, 64),
+        "torus-4d-p2": ((2.0, (0, 4)), 12.0, True, 64),
+        "table-682": ((1.5, (0, 1, 2)), 1000.0, False, 4864),
+    }
+
+    @pytest.mark.parametrize("case", SPANS.values(), ids=SPANS.keys())
+    def test_span_rule(self, case):
+        (p, cuts), side, in_r_unit, span = case
+        space = SpaceParams.create(p, cuts)
+        table = _CellTable(space, TorusRegion(side * space.r_unit if in_r_unit else side), 2 * space.r_unit)
+        assert gibbs.BLOCK * gibbs._blocks_per_span(table) == span
+
+    @given(spaces(max_n=8), st.sampled_from(["torus", "ball"]), st.data())
+    def test_one_cell_tables_span_one_block(self, space, kind, data):
+        # below 3 cells per axis or 64 in all the table has one cell
+        cells = data.draw(st.floats(0.1, 64 ** (1 / space.n) - 1e-6))
+        excl = 2 * space.r_unit
+        region = TorusRegion(cells * excl) if kind == "torus" else SuperballRegion(cells * excl / 2)
+        table = _CellTable(space, region, excl)
+        assert table.ncell == 1 and gibbs._blocks_per_span(table) == 1
+
+    @given(spaces(max_n=4), st.sampled_from(["torus", "ball"]), st.floats(0.0, 1.0), st.floats(0.5, 30.0),
+           st.integers(1, 700), st.floats(0.0, 1.0, exclude_max=True), st.integers(0, 2**32 - 1))
+    @example(SpaceParams.create(1.5, (0, 1, 2)), "torus", 0.5, 20.0, 599, 0.4, 1)  # burn-in inside a span
+    @example(SpaceParams.create(2.0, (0, 1)), "ball", 1.0, 5.0, 40, 0.0, 2)  # under one draw block
+    @example(SpaceParams.create(1.2, (0, 1, 3)), "ball", 0.0, 30.0, 700, 0.1, 3)
+    @example(SpaceParams.create(1.5, (0, 2, 3, 4)), "torus", 1.0, 10.0, 333, 0.5, 4)
+    def test_one_block_per_screen_matches_the_span(self, space, kind, where, lam, steps, burn_frac, seed):
+        # regions with spans of 2 to 4 draw blocks: from the cells per axis
+        # at which the rule rounds up to 2 (and a table has MIN_CELLS)
+        k = max(math.ceil(3 * 4.5 ** (2 / space.n)), _CellTable.MIN_CELLS ** (1 / space.n)) + 0.5
+        cells = k * (1.0 + where * (2.0, 1.0, 0.5, 0.4)[space.n - 1])
+        excl = 2 * space.r_unit
+        region = TorusRegion(cells * excl) if kind == "torus" else SuperballRegion(cells * excl / 2)
+        params, burn = ModelParams(space, region, lam), int(burn_frac * steps)
+        assert gibbs._blocks_per_span(_CellTable(space, region, excl)) >= 2
+        auto = run_chain(params, steps, burn, seed, collect_trace=True)
+        with mock.patch.object(gibbs, "_blocks_per_span", lambda table: 1):
+            one = run_chain(params, steps, burn, seed, collect_trace=True)
+        assert one.to_json() == auto.to_json()
+        for key in auto.trace:
+            assert one.trace[key].tobytes() == auto.trace[key].tobytes(), key
+        assert one.final_configuration.centers.tobytes() == auto.final_configuration.centers.tobytes()
 
 
 class TestAlphaCurve:
