@@ -302,40 +302,33 @@ def uniform_convexity_check(x, y, eps: float, space: SpaceParams) -> bool:
 
 
 def _lambert_w_from_log(L: float) -> float:
-    # solves w + log(w) = L for w > 0; valid and well conditioned for L >= 1
-    w = L - math.log(L) if L > 1.0 else 1.0
+    """The w > 0 with log(w) + w = L, by Newton on v = log w.
+
+    v + e^v - L is convex and increasing in v and positive at the start
+    (v = L for L <= 1, v = log L above), so the steps fall monotonically
+    to the root. The result must solve the equation to 1e-12 relative in
+    w: |v + w - L| <= 1e-12 (1 + w), the size of one more Newton step.
+    """
+    v = L if L <= 1.0 else math.log(L)
     for _ in range(200):
-        step = (w + math.log(w) - L) / (1.0 + 1.0 / w)
-        w -= step
-        if abs(step) <= 1e-16 * w:
+        ev = math.exp(v)
+        step = (v + ev - L) / (1.0 + ev)
+        v -= step
+        if abs(step) <= 1e-15 * max(1.0, abs(v)):
             break
+    w = math.exp(v)
+    resid = abs(v + w - L) / (1.0 + w)
+    if not resid <= 1e-12:
+        raise ComputationError(f"lambert_w residual {resid} above 1e-12 at log x = {L}")
     return w
 
 
 def lambert_w(x: float) -> float:
-    """Principal Lambert W for x > 0: the w with w * e^w = x.
-
-    Newton iteration from a log-based starting point; the result is
-    verified to satisfy the defining equation to 1e-12 relative.
-    """
+    """Principal Lambert W for x > 0: the w with w * e^w = x (``_lambert_w_from_log``)."""
     x = float(x)
     if not (x > 0.0) or not math.isfinite(x):
         raise InputError(f"lambert_w needs a positive finite argument, got {x}")
-    L = math.log(x)
-    if L <= 1.0:
-        w = min(1.0, x)
-        for _ in range(200):
-            ew = math.exp(w)
-            step = (w * ew - x) / (ew * (w + 1.0))
-            w -= step
-            if abs(step) <= 1e-16 * max(abs(w), 1e-300):
-                break
-    else:
-        w = _lambert_w_from_log(L)
-    resid = abs(math.exp(math.log(w) + w - L) - 1.0) if w > 0 else math.inf
-    if resid > 1e-12:
-        raise ComputationError(f"lambert_w residual {resid} above 1e-12 at x={x}")
-    return w
+    return _lambert_w_from_log(math.log(x))
 
 
 @dataclass(frozen=True)
@@ -367,10 +360,7 @@ class DensityBound:
             raise InputError(f"fugacity must be positive and finite, got {lam}")
         cpn = self.c_p**self.n
         log_arg = math.log(lam) + self.n * math.log(2.0) + 2.0 * lam * cpn
-        if log_arg <= 1.0:
-            z_star = lambert_w(math.exp(log_arg))
-        else:
-            z_star = _lambert_w_from_log(log_arg)
+        z_star = _lambert_w_from_log(log_arg)
         return z_star, lam * math.exp(-z_star)
 
     def to_json(self) -> dict:

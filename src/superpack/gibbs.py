@@ -65,6 +65,7 @@ FV_PROBES = 64  # free-volume probe points per probed step
 FV_STRIDE = 8  # probe every FV_STRIDE-th recorded step
 BLOCK = 64  # chain steps drawn together (a draw block)
 VALIDATE_EVERY = 4096  # accepted moves between full hard-core rechecks
+NBATCH = 32  # batch means behind a chain's standard errors
 
 
 @dataclass(frozen=True)
@@ -325,9 +326,10 @@ class ChainEstimate:
     alpha_hat is the mean occupancy per unit volume over the recorded
     window, fv_hat the probe estimate of the free-volume fraction, and
     var_count the sample variance of the count series (nan below two
-    recorded steps). Standard errors come from 32 batch means. Counters
-    satisfy accepted_births + accepted_deaths + rejections = steps, and
-    births_blocked counts the rejections made by the exclusion screen.
+    recorded steps). Standard errors come from 32 batch means
+    (``NBATCH``). Counters satisfy accepted_births + accepted_deaths +
+    rejections = steps, and births_blocked counts the rejections made by
+    the exclusion screen.
     """
 
     alpha_hat: float
@@ -363,29 +365,30 @@ class ChainEstimate:
         return {**out, "rejections": self.rejections}
 
 
-def _batch_se(series: np.ndarray, nbatch: int = 32) -> float:
+def _batch_se(series: np.ndarray) -> float:
     m = len(series)
     if m < 2:
         return math.inf
-    if m < 2 * nbatch:
+    if m < 2 * NBATCH:
         return float(series.std(ddof=1) / math.sqrt(m))
-    size = m // nbatch
-    bm = series[: nbatch * size].reshape(nbatch, size).mean(axis=1)
-    return float(bm.std(ddof=1) / math.sqrt(nbatch))
+    size = m // NBATCH
+    bm = series[: NBATCH * size].reshape(NBATCH, size).mean(axis=1)
+    return float(bm.std(ddof=1) / math.sqrt(NBATCH))
 
 
-def _batch_var_se(series: np.ndarray, nbatch: int = 32) -> float:
+def _batch_var_se(series: np.ndarray) -> float:
     m = len(series)
-    if m < 4 * nbatch:
+    if m < 4 * NBATCH:
         return math.inf
-    size = m // nbatch
-    bv = series[: nbatch * size].reshape(nbatch, size).var(ddof=1, axis=1)
-    return float(bv.std(ddof=1) / math.sqrt(nbatch))
+    size = m // NBATCH
+    bv = series[: NBATCH * size].reshape(NBATCH, size).var(ddof=1, axis=1)
+    return float(bv.std(ddof=1) / math.sqrt(NBATCH))
 
 
 def _blocks_per_span(table: _CellTable) -> int:
-    """Draw blocks per chain screen, >= 1: a screen's fixed cost falls as 1/span while its
-    probe-by-proposal pairs grow as span^2 3^n / cells, so span ~ sqrt(cells / 3^n)."""
+    """Draw blocks per chain screen, >= 1: a screen's fixed cost falls as 1/span while the pairs
+    of its probes with the proposals drawn by their step grow as span^2 3^n / cells, so span ~
+    sqrt(cells / 3^n)."""
     return max(1, round(math.sqrt(len(table.nbr) / table.nbr.shape[1]) / 3))
 
 
@@ -417,20 +420,23 @@ def run_chain(
     run is bit-for-bit reproducible from the seed.
 
     Steps run in spans of m draw blocks (``_blocks_per_span``, 1 on a
-    one-cell table): a span makes its blocks' draws in turn, then one
-    screen finds each proposal's partners within the exclusion distance
-    among the span-start centers and the span's earlier proposals, and
-    each probe's among all of them. A proposal is blocked only by a
-    partner alive at its step, so every accepted
-    insertion clears all current centers, and the hard-core invariant
-    holds by induction; it is also re-validated from scratch every 4096
-    accepted moves (``VALIDATE_EVERY``) and at the end, through
+    one-cell table). A span holds its centers as one list of labels in
+    index order (label i: its i-th starting center; t0 + k: its proposal
+    k): a birth appends, a death swaps the picked entry with the last
+    and pops it. It makes its blocks' draws in turn, then one screen
+    finds each query's partners within the exclusion distance among the
+    labels drawn by its step: below t0 + k for proposal k, below t0 plus
+    the birth coins up to its step for a probe. A proposal is blocked
+    only by a partner alive at its step, so every accepted insertion
+    clears all current centers, and the hard-core invariant holds by
+    induction; it is also re-validated from scratch every 4096 accepted
+    moves (``VALIDATE_EVERY``) and at the end, through
     ``geometry.min_pairwise``. A probe is free when no center lies
-    within the exclusion distance at its step. Label j (a span-start
-    center, or t0 + k for proposal k) is a center at the end of step s
-    when born_j <= s < died_j: span-start centers are born at -1 and
-    labels never deleted die at ``steps``. The step loop sets them in
-    int64 arrays; the span's probes are tested against them after it.
+    within the exclusion distance at its step. Label j is a center at
+    the end of step s when born_j <= s < died_j: span-start centers are
+    born at -1 and labels never deleted die at ``steps``. The step loop
+    sets them in int64 arrays; the span's probes are tested against them
+    after it.
 
     The count and probe-hit series (-1 where no probe ran) are kept
     for every step; with ``collect_trace`` the estimate carries them,
@@ -439,16 +445,15 @@ def run_chain(
     The screen goes through one ``geometry._CellTable`` with cell side
     at least the exclusion, built at step 0 and refiled at each span
     start with the span-start centers and the proposals, at a cost in
-    points, not cells. Each center keeps its cell code beside it (moved
-    with it on a death), so a span codes only its proposals and probes.
-    These gather the labels of their 3^n neighbour cells in one batch,
-    and only gathered labels get the exact distance test. Where the
-    region leaves the table one cell (fewer than 3 cells per axis or 64
-    cells in all), the proposals test all pairs instead, and each probed
-    step tests its probes against the centers of that step. Cell pruning
-    is exact (coordinatewise monotonicity of the norm) and no screen
-    draws random numbers, so the trajectory does not depend on which
-    screen ran.
+    points, not cells. One ``code`` call places these and the probes;
+    each query gathers the labels of its 3^n neighbour cells, and only
+    gathered labels under its bound get the exact distance test. Where
+    the region leaves the table one cell (fewer than 3 cells per axis or
+    64 cells in all), each proposal is paired with every label under its
+    bound, and each probed step tests its probes against the centers of
+    that step. Cell pruning is exact (coordinatewise monotonicity of the
+    norm) and no screen draws random numbers, so the trajectory does not
+    depend on which screen ran.
     """
     if not (steps > burn_in >= 0):
         raise InputError(f"need steps > burn_in >= 0, got {steps}, {burn_in}")
@@ -459,13 +464,10 @@ def run_chain(
     excl = params.exclusion
     rng = np.random.default_rng(seed)
     table = _CellTable(space, region, excl)
-    grid = table.ncell > 1  # else one cell: every screen tests all pairs
+    grid = table.ncell > 1  # else one cell: proposals meet every drawn label, probes every centre
     span = BLOCK * _blocks_per_span(table)
-    if not grid:
-        later, earlier = np.tril_indices(span, -1)  # proposal pairs, row-major
 
-    centers = np.empty((64, n))
-    home = np.empty(64, dtype=np.int64)  # cell code of each centre
+    centers = np.empty((0, n))  # the span-start centres, in index order
     t = 0
     births = 0
     deaths = 0
@@ -492,33 +494,31 @@ def run_chain(
         coins, Y, u_acc, u_die, probes = (np.concatenate(d) for d in zip(*draws))
         u_acc, u_die, probes = u_acc.tolist(), u_die.tolist(), probes.reshape(-1, FV_PROBES, n)
 
-        # candidate partners of each proposal (row k of Q) among the
-        # span-start centres (labels 0..t0-1 of X) and earlier proposals
-        # (labels t0 + k' of X); with a table, also those of every probe
+        # queries (rows t0 on of Q): the proposals, then with a table the
+        # probes; query i meets the labels of X below bound[i], drawn by its step
         t0, nb = t, len(Y)
-        X = np.concatenate([centers[:t0], Y])
-        Q = np.concatenate([Y, probes.reshape(-1, n)]) if grid else Y
-        codes = table.code(Q)
-        if not grid:
-            pairs = nb * (nb - 1) // 2
-            who = np.concatenate([np.repeat(np.arange(nb), t0), later[:pairs]])
-            lbl = np.concatenate([np.tile(np.arange(t0), nb), earlier[:pairs] + t0])
-        else:
-            table.load(np.concatenate([home[:t0], codes[:nb]]), bounded=False)  # hard-core cells, <= span proposals
-            who, lbl = table.near(codes)
-            keep = lbl < t0 + who  # drops a proposal's own and later labels only
+        X = np.concatenate([centers, Y])
+        Q = np.concatenate([X, probes.reshape(-1, n)]) if grid else X
+        bound = t0 + np.arange(nb)
+        if grid:
+            bound = np.concatenate([bound, np.repeat(t0 + np.cumsum(coins)[first - s0 :: FV_STRIDE], FV_PROBES)])
+            codes = table.code(Q)
+            table.load(codes[: t0 + nb], bounded=False)  # hard-core cells, <= span proposals
+            who, lbl = table.near(codes[t0:])
+            keep = lbl < bound.take(who)
             who, lbl = who[keep], lbl[keep]
-        close = distance_batch(Q.take(who, axis=0), X.take(lbl, axis=0), space, region) < excl
+        else:
+            who, lbl = np.nonzero(np.arange(t0 + nb) < bound[:, None])
+        close = distance_batch(Q[t0:].take(who, axis=0), X.take(lbl, axis=0), space, region) < excl
         who, lbl = who[close], lbl[close]
         prop = who < nb
         partners = {}
         for k, j in zip(who[prop].tolist(), lbl[prop].tolist()):
             partners.setdefault(k, []).append(j)
-        alive = [True] * t0 + [False] * nb  # by label
-        # label j is a centre at the end of step s when born[j] <= s < died[j]
+        alive = [True] * t0 + [False] * nb
         born, died = np.full((2, t0 + nb), steps)
         born[:t0] = -1
-        moved = {}  # the centre at index i has label moved.get(i, i)
+        order = list(range(t0))  # the label of each centre, in index order
         cnt = []
 
         k = 0
@@ -530,26 +530,19 @@ def run_chain(
                 if near is not None and any(alive[j] for j in near):
                     blocked += 1
                 elif u_acc[r] < lamV / (t + 1):  # u < 1: min(1, a) for free
-                    if t == len(centers):
-                        centers = np.concatenate([centers, np.empty_like(centers)])
-                        home = np.concatenate([home, np.empty_like(home)])
-                    centers[t] = Y[k]
-                    home[t] = codes[k]
+                    order.append(t0 + k)
                     alive[t0 + k] = True
                     born[t0 + k] = step
-                    moved[t] = t0 + k
                     t += 1
                     births += 1
                     accepted = True
                 k += 1
             elif t > 0 and u_acc[r] < t / lamV:
                 i = min(int(u_die[r] * t), t - 1)
-                j = moved.get(i, i)
+                j, order[i] = order[i], order[-1]
+                order.pop()
                 alive[j] = False
                 died[j] = step
-                moved[i] = moved.pop(t - 1, t - 1)
-                centers[i] = centers[t - 1]
-                home[i] = home[t - 1]
                 t -= 1
                 deaths += 1
                 accepted = True
@@ -557,16 +550,18 @@ def run_chain(
             if accepted:
                 accepted_since_check += 1
                 if accepted_since_check >= VALIDATE_EVERY:
-                    Configuration(centers[:t].copy(), params).validate()
+                    Configuration(X.take(order, axis=0), params).validate()
                     accepted_since_check = 0
             cnt.append(t)
             if not grid and step in probed:
                 free = FV_PROBES
                 if t:
-                    d = distance_batch(probes[(step - first) // FV_STRIDE, :, None], centers[None, :t], space, region)
+                    d = distance_batch(probes[(step - first) // FV_STRIDE, :, None], X.take(order, axis=0)[None],
+                                       space, region)
                     free = int((d.min(axis=1) >= excl).sum())
                 fv_probe_hits[step] = free
         count[s0 : s0 + b] = cnt
+        centers = X.take(order, axis=0)
         if grid and probed:
             # probe row q runs at step s; it is hit by a close label alive then
             q, j = who[~prop] - nb, lbl[~prop]
@@ -577,7 +572,7 @@ def run_chain(
         if collect_trace:
             tr_birth[s0 : s0 + b] = coins
 
-    final = Configuration(centers[:t].copy(), params)
+    final = Configuration(centers, params)
     final.validate()
 
     counts_f = count[burn_in:].astype(np.float64)

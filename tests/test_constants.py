@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from superpack.constants import (
     ClarksonReport,
+    _lambert_w_from_log,
     clarkson_check,
     clarkson_residuals,
     compute_constant_chain,
@@ -252,6 +253,15 @@ class TestLambertW:
         w = lambert_w(1e300)
         assert w + math.log(w) == pytest.approx(math.log(1e300), rel=1e-13)
         assert lambert_w(1e-300) == pytest.approx(1e-300, rel=1e-12)
+
+    @pytest.mark.parametrize("L", [-700.0, -1.0, 1.0, 2.0, 700.0, 1e4, 1e8])
+    def test_log_form_against_mpmath(self, L):
+        # alpha_floor's route takes log x, which may lie past what exp
+        # reaches; the residual check must accept the rounded root there
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            ref = float(mpmath.lambertw(mpmath.exp(L)).real)
+        assert _lambert_w_from_log(L) == pytest.approx(ref, rel=1e-12)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(InputError):

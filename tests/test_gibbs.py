@@ -305,6 +305,21 @@ class TestRunChain:
         a, b = self._table_then_all_pairs(monkeypatch, params, 20_000, 2_000, 11)
         assert a.to_json() == b.to_json()
 
+    def test_screen_sends_only_drawn_labels(self):
+        # the benchmark's chain run: a query meets only the labels drawn
+        # by its step, so no probe is paired with a later proposal; the
+        # draw stream is fixed, so the screen's distance rows are exact
+        rows = []
+
+        def counted(a, b, *args):
+            rows.append(len(a))
+            return distance_batch(a, b, *args)
+
+        space = SpaceParams.create(1.5, (0, 1, 2))
+        with mock.patch.object(gibbs, "distance_batch", counted):
+            run_chain(ModelParams(space, TorusRegion(60.0), 5.0), 4000, 2000, 1)
+        assert sum(rows) == 54_003
+
     def test_region_rule(self):
         # the 1D L = 20 chains of acceptance criterion 05 hold too few
         # cells for the table to pay; the benchmark's chain region does not
@@ -630,32 +645,32 @@ class TestCellTable:
 
     @given(spaces(max_n=4), st.sampled_from(["torus", "ball"]), st.data())
     def test_kept_codes_match_the_point_calls(self, space, kind, data):
-        # the chain's bookkeeping: a centre's code is computed once, in a
-        # batch of proposals and probes, and moves with it on a swap-with-
-        # last death; the torus table has no padding cells, the ball's one
-        # layer, and below 3 cells per axis the table has one cell
+        # the chain's bookkeeping: one code call places a span's starting
+        # centres, its proposals and its probes, and the centres change by
+        # births and swap-with-last deaths between spans; the torus table
+        # has no padding cells, the ball's one layer, and below 3 cells per
+        # axis the table has one cell
         n, excl = space.n, 2.0 * space.r_unit
         cells = data.draw(st.floats(1.0, min(30.0, _CellTable.BUDGET ** (1.0 / n) / 3)))
         region = TorusRegion(cells * excl) if kind == "torus" else SuperballRegion(cells * excl / 2)
         with mock.patch.object(_CellTable, "MIN_CELLS", 0):
             table, oracle = _CellTable(space, region, excl), _CellTable(space, region, excl)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        centers, home = np.empty((0, n)), np.empty(0, dtype=np.int64)
+        centers = np.empty((0, n))
         for _ in range(data.draw(st.integers(1, 8))):
             Y = self._near_points(space, region, excl, centers, rng)  # proposals
             Q = np.concatenate([Y, region.sample(space, rng, 16)])  # and probes
-            codes = table.code(Q)
-            assert table.load(np.concatenate([home, codes[: len(Y)]]))
+            codes = table.code(np.concatenate([centers, Q]))
+            assert table.load(codes[: len(centers) + len(Y)])
             assert self._point_load(oracle, np.concatenate([centers, Y]))
             assert table.K == oracle.K and np.array_equal(table.slots, oracle.slots)
-            for got, want in zip(table.near(codes), self._point_near(oracle, Q)):
+            for got, want in zip(table.near(codes[len(centers) :]), self._point_near(oracle, Q)):
                 assert got.dtype == want.dtype and np.array_equal(got, want)
-            born = rng.random(len(Y)) < 0.5
-            centers, home = np.concatenate([centers, Y[born]]), np.concatenate([home, codes[: len(Y)][born]])
+            centers = np.concatenate([centers, Y[rng.random(len(Y)) < 0.5]])
             for _ in range(int(rng.integers(len(centers) + 1)) // 2):
                 i = int(rng.integers(len(centers)))
-                centers[i], home[i] = centers[-1], home[-1]
-                centers, home = centers[:-1], home[:-1]
+                centers[i] = centers[-1]
+                centers = centers[:-1]
 
     @staticmethod
     def _product_nbr(k, n, pad):
