@@ -59,7 +59,7 @@ def simulate_anchor(p, steps, seed):
     z_star, floor = b.alpha_floor(b.fugacity_threshold)
     space = SpaceParams.create(p, (0, 1, 2))
     params = ModelParams(space, TorusRegion(8.0 * space.r_unit), b.fugacity_threshold)
-    est = run_chain(params, steps, steps // 10, seed=seed)
+    est = run_chain(params, steps, steps // 10, seed=seed, free_volume=False)
     return {
         "n": 2,
         "fugacity": b.fugacity_threshold,

@@ -161,7 +161,7 @@ def cmd_simulate(args) -> int:
     seeds = [args.seed] if args.replicas == 1 else [
         int(s) for s in np.random.SeedSequence(args.seed).generate_state(args.replicas, dtype=np.uint64)
     ]
-    estimates = run_chains([(params, args.steps, args.burnin, s, out is not None) for s in seeds], args.threads)
+    estimates = run_chains([(params, args.steps, args.burnin, s, out is not None, True) for s in seeds], args.threads)
 
     config_line = json.dumps(conf, sort_keys=True)
     if out:

@@ -324,7 +324,8 @@ class ChainEstimate:
     """Summary of one birth-death run.
 
     alpha_hat is the mean occupancy per unit volume over the recorded
-    window, fv_hat the probe estimate of the free-volume fraction, and
+    window, fv_hat the probe estimate of the free-volume fraction (None,
+    as is fv_se, for a chain run with ``free_volume=False``), and
     var_count the sample variance of the count series (nan below two
     recorded steps). Standard errors come from 32 batch means
     (``NBATCH``). Counters satisfy accepted_births + accepted_deaths +
@@ -334,8 +335,8 @@ class ChainEstimate:
 
     alpha_hat: float
     alpha_se: float
-    fv_hat: float
-    fv_se: float
+    fv_hat: float | None
+    fv_se: float | None
     var_count: float
     var_count_se: float
     mean_count: float
@@ -350,7 +351,7 @@ class ChainEstimate:
     final_configuration: Configuration | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        if not (self.alpha_hat >= 0 and 0.0 <= self.fv_hat <= 1.0):
+        if not (self.alpha_hat >= 0 and (self.fv_hat is None or 0.0 <= self.fv_hat <= 1.0)):
             raise ComputationError("chain summary out of range")
         if not 0 <= self.births_blocked <= self.rejections:
             raise ComputationError("move counters went inconsistent")
@@ -385,11 +386,19 @@ def _batch_var_se(series: np.ndarray) -> float:
     return float(bv.std(ddof=1) / math.sqrt(NBATCH))
 
 
-def _blocks_per_span(table: _CellTable) -> int:
-    """Draw blocks per chain screen, >= 1: a screen's fixed cost falls as 1/span while the pairs
-    of its probes with the proposals drawn by their step grow as span^2 3^n / cells, so span ~
-    sqrt(cells / 3^n)."""
-    return max(1, round(math.sqrt(len(table.nbr) / table.nbr.shape[1]) / 3))
+def _blocks_per_span(table: _CellTable, free_volume: bool = True) -> int:
+    """Draw blocks per chain screen, >= 1.
+
+    A screen's fixed cost falls as 1/span, while the pairs of its queries
+    with the labels drawn by their step grow as span^2 3^n / cells times
+    the query rows per step; the optimum is span ~ sqrt(cells / 3^n /
+    rows). The /3 was timed on probed chains, which query 0.5 proposals
+    plus 64/8 probe rows a step (``FV_PROBES``, ``FV_STRIDE``). A chain
+    run with ``free_volume=False`` queries only the 0.5 proposals, so its
+    span is sqrt(8.5 / 0.5) = sqrt(17) times as long.
+    """
+    ratio = 1.0 if free_volume else (0.5 + FV_PROBES / FV_STRIDE) / 0.5
+    return max(1, round(math.sqrt(len(table.nbr) / table.nbr.shape[1] * ratio) / 3))
 
 
 def run_chain(
@@ -399,6 +408,7 @@ def run_chain(
     seed: int,
     *,
     collect_trace: bool = False,
+    free_volume: bool = True,
 ) -> ChainEstimate:
     """Birth-death Metropolis chain for the hard-core grand ensemble.
 
@@ -409,6 +419,10 @@ def run_chain(
     starts empty. The schedule is fixed: estimates use the steps after
     ``burn_in``, and free-volume probes run on every 8th of those
     (``FV_STRIDE``) with 64 fresh uniform points each (``FV_PROBES``).
+    With ``free_volume=False`` the probes are still drawn, so the draws,
+    the trajectory and every other output are those of the probed chain,
+    but no probe is screened: ``fv_hat`` and ``fv_se`` are None, the
+    probe-hit series stays -1, and spans are longer (``_blocks_per_span``).
 
     Draws come in blocks of b = min(64, steps left) (``BLOCK``). A block
     draws from the one generator in this order: b coins (birth below
@@ -465,7 +479,7 @@ def run_chain(
     rng = np.random.default_rng(seed)
     table = _CellTable(space, region, excl)
     grid = table.ncell > 1  # else one cell: proposals meet every drawn label, probes every centre
-    span = BLOCK * _blocks_per_span(table)
+    span = BLOCK * _blocks_per_span(table, free_volume)
 
     centers = np.empty((0, n))  # the span-start centres, in index order
     t = 0
@@ -483,7 +497,7 @@ def run_chain(
         b = min(span, steps - s0)
         first = max(s0, burn_in)
         first += -(first - burn_in) % FV_STRIDE  # the span's first probed step
-        probed = range(first, s0 + b, FV_STRIDE)
+        probed = range(first, s0 + b if free_volume else first, FV_STRIDE)  # the steps whose probes it screens
         draws = []
         for c0 in range(s0, s0 + b, BLOCK):  # each draw block's five calls, in order
             c = min(BLOCK, s0 + b - c0)
@@ -492,7 +506,7 @@ def run_chain(
             draws.append((coins, region.sample(space, rng, int(coins.sum())), rng.random(c), rng.random(c),
                           region.sample(space, rng, FV_PROBES * probed_here)))
         coins, Y, u_acc, u_die, probes = (np.concatenate(d) for d in zip(*draws))
-        u_acc, u_die, probes = u_acc.tolist(), u_die.tolist(), probes.reshape(-1, FV_PROBES, n)
+        u_acc, u_die, probes = u_acc.tolist(), u_die.tolist(), probes.reshape(-1, FV_PROBES, n)[: len(probed)]
 
         # queries (rows t0 on of Q): the proposals, then with a table the
         # probes; query i meets the labels of X below bound[i], drawn by its step
@@ -501,7 +515,8 @@ def run_chain(
         Q = np.concatenate([X, probes.reshape(-1, n)]) if grid else X
         bound = t0 + np.arange(nb)
         if grid:
-            bound = np.concatenate([bound, np.repeat(t0 + np.cumsum(coins)[first - s0 :: FV_STRIDE], FV_PROBES)])
+            births_by = np.cumsum(coins)[first - s0 : probed.stop - s0 : FV_STRIDE]  # at each screened probe's step
+            bound = np.concatenate([bound, np.repeat(t0 + births_by, FV_PROBES)])
             codes = table.code(Q)
             table.load(codes[: t0 + nb], bounded=False)  # hard-core cells, <= span proposals
             who, lbl = table.near(codes[t0:])
@@ -580,8 +595,8 @@ def run_chain(
     est = ChainEstimate(
         alpha_hat=float(counts_f.mean() / V),
         alpha_se=_batch_se(counts_f) / V,
-        fv_hat=float(fv_arr.mean()),
-        fv_se=_batch_se(fv_arr),
+        fv_hat=float(fv_arr.mean()) if free_volume else None,
+        fv_se=_batch_se(fv_arr) if free_volume else None,
         var_count=float(counts_f.var(ddof=1)) if len(counts_f) > 1 else math.nan,
         var_count_se=_batch_var_se(counts_f),
         mean_count=float(counts_f.mean()),
@@ -601,17 +616,18 @@ def run_chain(
 
 def _run_task(task) -> ChainEstimate:
     # module level, so a pool can pickle it; looks run_chain up at call time
-    params, steps, burn_in, seed, collect_trace = task
-    return run_chain(params, steps, burn_in, seed, collect_trace=collect_trace)
+    params, steps, burn_in, seed, collect_trace, free_volume = task
+    return run_chain(params, steps, burn_in, seed, collect_trace=collect_trace, free_volume=free_volume)
 
 
 def run_chains(tasks, threads: int = 1) -> list[ChainEstimate]:
     """Run independent chains and return their estimates in input order.
 
-    Each task is ``(params, steps, burn_in, seed, collect_trace)`` for
-    one ``run_chain`` call. With ``threads > 1`` and more than one task
-    the calling process runs tasks ``i % threads == 0`` itself and a
-    pool of ``threads - 1`` worker processes runs the rest. Every chain
+    Each task is ``(params, steps, burn_in, seed, collect_trace,
+    free_volume)`` for one ``run_chain`` call. With ``threads > 1`` and
+    more than one task the calling process runs tasks
+    ``i % threads == 0`` itself and a pool of ``threads - 1`` worker
+    processes runs the rest. Every chain
     draws only from its own seed, so the estimates, and the first error
     in input order, are those of the serial run. The pool is shut down,
     pending tasks cancelled, before this returns or raises.
@@ -643,6 +659,9 @@ def estimate_alpha_curve(
 ) -> list[tuple[float, ChainEstimate]]:
     """Independent chains across an activity grid, fresh seed per point.
 
+    The chains run with ``free_volume=False``: their estimates carry the
+    occupancy density, and no free-volume fraction.
+
     ``threads`` is the number of processes that share the chains
     (see ``run_chains``); the result does not depend on it.
     """
@@ -653,7 +672,7 @@ def estimate_alpha_curve(
         raise InputError("fugacity grid must be strictly increasing")
     child_seeds = np.random.SeedSequence(seed).generate_state(len(fugacities), dtype=np.uint64)
     tasks = [
-        (ModelParams(params.space, params.region, lam, params.radius), steps, burn_in, int(s), False)
+        (ModelParams(params.space, params.region, lam, params.radius), steps, burn_in, int(s), False, False)
         for lam, s in zip(fugacities, child_seeds)
     ]
     return list(zip(fugacities, run_chains(tasks, threads)))

@@ -120,6 +120,9 @@ def pressure_estimate(
     alpha_hat(x)/x, and closes the ideal-gas segment below the grid
     with its leading term lambda_0 (bias O(lambda_0^2)). The standard
     error combines the chain errors through the trapezoid weights.
+    Only alpha_hat and its error are read, so the chains draw their
+    free-volume probes but do not screen them
+    (``estimate_alpha_curve``).
     ``threads`` processes share the grid's chains
     (``gibbs.run_chains``); the result does not depend on it.
     """

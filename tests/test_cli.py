@@ -346,6 +346,24 @@ class TestThermo:
         assert data["result"]["kind"] == "pressure"
         assert data["result"]["value"] >= 0
 
+    # SHA-256 of the pressure JSON on a cell-table torus, a one-cell torus
+    # and a ball, as the chains with screened free-volume probes wrote it
+    PINNED = {
+        "torus-table": (PRESSURE, "300071171925a72d588e402314a81369c147e0ffe738d7db242ee952a098a2df"),
+        "torus-one-cell": (["thermo", "pressure", "--p", "2", "--cuts", "0,1", "--region", "torus", "--size", "5",
+                            "--fugacity", "1", "--grid", "4", "--steps", "3000", "--seed", "7"],
+                           "e9c0438d14e8aea0a6a460de1631071f90aa13b59fa24ca07fa071937bad0ec0"),
+        "ball": (["thermo", "pressure", "--p", "1.5", "--cuts", "0,1,2", "--region", "ball", "--size", "3",
+                  "--fugacity", "2", "--grid", "4", "--steps", "700", "--seed", "7"],
+                 "322b2d9b014b267fe07394142794145b402017263cbb05930416ee32a2175ed6"),
+    }
+
+    @pytest.mark.parametrize("argv, digest", PINNED.values(), ids=PINNED.keys())
+    def test_pressure_digest(self, argv, digest, tmp_path):
+        out = tmp_path / "pressure.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_pressure_threads_byte_identical(self, tmp_path):
         for threads in ("1", "2"):
             out = str(tmp_path / f"t{threads}.json")

@@ -805,6 +805,14 @@ def _replay(params, steps, burn_in, seed, span):
     return trace, blocked, events
 
 
+def _chain_case(case):
+    """(params, steps, burn_in, seed) of a ``TestBlockLayout.CASES`` entry."""
+    (p, cuts), kind, size, lam, steps, burn, seed, _ = case
+    space = SpaceParams.create(p, cuts)
+    region = (TorusRegion if kind == "torus" else SuperballRegion)(size * space.r_unit)
+    return ModelParams(space, region, lam), steps, burn, seed
+
+
 class TestBlockLayout:
     """``run_chain`` against a step-by-step replay of its draw layout."""
 
@@ -841,11 +849,9 @@ class TestBlockLayout:
 
     @staticmethod
     def _check(case):
-        (p, cuts), kind, size, lam, steps, burn, seed, blocks = case
-        space = SpaceParams.create(p, cuts)
-        region = (TorusRegion if kind == "torus" else SuperballRegion)(size * space.r_unit)
-        params = ModelParams(space, region, lam)
-        table = _CellTable(space, region, params.exclusion)
+        params, steps, burn, seed = _chain_case(case)
+        blocks = case[-1]
+        table = _CellTable(params.space, params.region, params.exclusion)
         assert (table.ncell > 1) == (blocks > 0) and gibbs._blocks_per_span(table) == max(blocks, 1)
         est = run_chain(params, steps, burn, seed, collect_trace=True)
         trace, blocked, events = _replay(params, steps, burn, seed, gibbs.BLOCK * max(blocks, 1))
@@ -854,21 +860,59 @@ class TestBlockLayout:
         assert est.births_blocked == blocked
         return trace, events
 
-    # spans the rule gives: (p, cuts), torus side (absolute, or in r_unit), steps per span
+    # spans the rule gives: (p, cuts), torus side (absolute, or in r_unit), steps per span of a
+    # probed chain, and of a probe-free one
     SPANS = {
-        "pressure": ((1.5, (0, 1, 2)), 20.0, False, 128),
-        "chain": ((1.5, (0, 1, 2)), 60.0, False, 320),
-        "torus-3d": ((1.5, (0, 1, 2, 3)), 12.0, True, 64),
-        "torus-4d-p2": ((2.0, (0, 4)), 12.0, True, 64),
-        "table-682": ((1.5, (0, 1, 2)), 1000.0, False, 4864),
+        "pressure": ((1.5, (0, 1, 2)), 20.0, False, 128, 448),
+        "chain": ((1.5, (0, 1, 2)), 60.0, False, 320, 1408),
+        "torus-3d": ((1.5, (0, 1, 2, 3)), 12.0, True, 64, 192),
+        "torus-4d-p2": ((2.0, (0, 4)), 12.0, True, 64, 256),
+        "table-682": ((1.5, (0, 1, 2)), 1000.0, False, 4864, 19968),
     }
 
     @pytest.mark.parametrize("case", SPANS.values(), ids=SPANS.keys())
     def test_span_rule(self, case):
-        (p, cuts), side, in_r_unit, span = case
+        (p, cuts), side, in_r_unit, span, probe_free_span = case
         space = SpaceParams.create(p, cuts)
         table = _CellTable(space, TorusRegion(side * space.r_unit if in_r_unit else side), 2 * space.r_unit)
         assert gibbs.BLOCK * gibbs._blocks_per_span(table) == span
+        assert gibbs.BLOCK * gibbs._blocks_per_span(table, False) == probe_free_span
+
+    # the top-activity chain of the benchmark's ``thermo pressure``, and two replay cases
+    PRESSURE_TOP = (ModelParams(SpaceParams.create(1.5, (0, 1, 2)), TorusRegion(20.0), 5.0), 2500, 250, 1)
+    PROBE_FREE = {
+        "pressure": PRESSURE_TOP,
+        "dense-one-cell": _chain_case(CASES["dense-one-cell"]),
+        "ball-2d": _chain_case(CASES["ball-2d"]),
+    }
+
+    @pytest.mark.parametrize("name", PROBE_FREE)
+    def test_probe_free_chain_makes_the_probed_chains_moves(self, name):
+        # the probes are drawn but never screened: same draws, so the same
+        # trajectory, with the free-volume estimate left out
+        params, steps, burn, seed = self.PROBE_FREE[name]
+        probed = run_chain(params, steps, burn, seed, collect_trace=True)
+        free = run_chain(params, steps, burn, seed, collect_trace=True, free_volume=False)
+        for key in ("count", "birth", "accepted"):
+            assert free.trace[key].tobytes() == probed.trace[key].tobytes(), key
+        assert (free.trace["fv_probe_hits"] == -1).all() and (probed.trace["fv_probe_hits"] >= 0).any()
+        assert free.final_configuration.centers.tobytes() == probed.final_configuration.centers.tobytes()
+        assert free.to_json() == {**probed.to_json(), "fv_hat": None, "fv_se": None}
+
+    @pytest.mark.parametrize("free_volume, rows, calls", [(True, 103_285, 20), (False, 9_404, 6)],
+                             ids=["probed", "probe-free"])
+    def test_probe_free_screen_rows(self, free_volume, rows, calls):
+        # the top chain of ``thermo pressure``: without probes only the
+        # proposals reach the screen, in spans of 7 draw blocks, not 2
+        sizes = []
+
+        def counted(a, b, *args):
+            sizes.append(len(a))
+            return distance_batch(a, b, *args)
+
+        with mock.patch.object(gibbs, "distance_batch", counted):
+            run_chain(*self.PRESSURE_TOP, free_volume=free_volume)
+        assert (sum(sizes), len(sizes)) == (rows, calls)
 
     @given(spaces(max_n=8), st.sampled_from(["torus", "ball"]), st.data())
     def test_one_cell_tables_span_one_block(self, space, kind, data):
@@ -895,7 +939,7 @@ class TestBlockLayout:
         params, burn = ModelParams(space, region, lam), int(burn_frac * steps)
         assert gibbs._blocks_per_span(_CellTable(space, region, excl)) >= 2
         auto = run_chain(params, steps, burn, seed, collect_trace=True)
-        with mock.patch.object(gibbs, "_blocks_per_span", lambda table: 1):
+        with mock.patch.object(gibbs, "_blocks_per_span", lambda table, *_: 1):
             one = run_chain(params, steps, burn, seed, collect_trace=True)
         assert one.to_json() == auto.to_json()
         for key in auto.trace:
