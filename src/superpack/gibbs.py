@@ -682,16 +682,20 @@ def merge_estimates(estimates: list[ChainEstimate]) -> ChainEstimate:
     """Pool independent equal-length replicas into one summary.
 
     Point estimates average with equal weight; standard errors combine
-    as for a mean of independent estimates. Counters add up; the seed
-    reported is the first replica's.
+    as for a mean of independent estimates (fv_hat and fv_se stay None
+    without probes). Counters add up; the seed is the first replica's.
     """
     if not estimates:
         raise InputError("nothing to merge")
     if len({e.steps for e in estimates}) > 1 or len({e.burn_in for e in estimates}) > 1:
         raise InputError("replicas must share steps and burn_in")
+    if len({e.fv_hat is None for e in estimates}) > 1:
+        raise InputError("replicas must all screen free-volume probes or all skip them")
     k = len(estimates)
 
     def pool(vals, ses):
+        if None in vals:  # replicas run without free-volume probes
+            return None, None
         return float(np.mean(vals)), float(np.sqrt(np.sum(np.square(ses))) / k)
 
     a, a_se = pool([e.alpha_hat for e in estimates], [e.alpha_se for e in estimates])

@@ -13,7 +13,8 @@ The graph is never materialised: representatives sit on the grid
 offset stencil, looked up in a dense cube table. Offsets clearly shorter
 than 2r join every translate; those within a rounding band of 2r get the
 exact per-pair test. A vertex's degree over a run of consecutive table
-shifts is a difference of two prefix sums of the table's occupancy.
+shifts is a difference of two prefix sums of the table's occupancy, and
+so are the common neighbours that count its triangles.
 
 Quantities that recur below:
 
@@ -128,14 +129,12 @@ class Lattice:
         return (self.indices + 0.5) * self.params.eps
 
     def table(self, pad=0) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Dense cube table over the index box widened by ``pad`` per side.
-
-        Returns (rows, lo, dims, strides, codes): rows[(idx - lo) @ strides] is
-        the lattice row of the cube with index idx, or -1, for idx in the box
-        lo + [0, dims), and codes[i] is that code for cube i. That is prod(dims)
-        int64 entries; the index box lies in the (2 ceil(R/eps) + 2)^n candidate
-        box, and ``build_graph`` pads by at most its extent, so at most 3^n times that.
-        """
+        """Dense cube table over the index box widened by ``pad`` per side:
+        (rows, lo, dims, strides, codes), where rows[(idx - lo) @ strides] is the
+        lattice row of the cube with index idx, or -1, for idx in lo + [0, dims),
+        and codes[i] is that code for cube i. The index box lies in the
+        (2 ceil(R/eps) + 2)^n candidate box and ``build_graph`` pads by at most
+        its extent, so rows has at most 3^n times that many int64 entries."""
         lo = self.box[0] - pad
         dims = self.box[1] + pad + 1 - lo
         strides = np.cumprod(np.append(1, dims[:0:-1]))[::-1]
@@ -207,6 +206,17 @@ def cover_check(lattice: Lattice, probes: int = 100_000, seed: int = 0) -> dict:
     return {"probes": probes, "covered": covered, "ok": covered == probes}
 
 
+def _run_sums(codes: np.ndarray, shifts: np.ndarray, cum: np.ndarray) -> np.ndarray:
+    """Listed cubes at codes + shifts, per code, with cum[c] the listed codes
+    below c: a maximal run [a, b] of shifts adds cum[codes + b + 1] - cum[codes + a]."""
+    shifts = np.sort(shifts)
+    total = np.zeros(len(codes), dtype=np.int64)
+    for run in np.split(shifts, np.flatnonzero(np.diff(shifts) != 1) + 1):
+        if len(run):
+            total += cum[codes + (run[-1] + 1)] - cum[codes + run[0]]
+    return total
+
+
 @dataclass(frozen=True)
 class GeoGraph:
     """Symmetric proximity graph held as a translate stencil.
@@ -232,41 +242,51 @@ class GeoGraph:
     def _close(self, i, j) -> np.ndarray:
         return norm_batch(self.vertices[i] - self.vertices[j], self.lattice.params.space) < 2.0 * self.radius
 
-    def _along(self, shift, exact: bool):
-        """(mask of vertices with an edge along ``shift``, their partners)."""
-        j = self.table[self.codes + shift]
-        hit = j >= 0
-        if exact:
-            i = np.flatnonzero(hit)
-            hit[i] = self._close(i, j[i])
-        return hit, j[hit]
-
-    def half_edges(self):
-        """Every edge once: per half-stencil offset, (mask of vertices with an edge along it, partners)."""
-        for s in self.sure[: len(self.sure) // 2]:
-            yield self._along(s, False)
-        for s in self.band[: len(self.band) // 2]:
-            yield self._along(s, True)
-
     @cached_property
     def degrees(self) -> np.ndarray:
-        """Sure offsets by run sums, band offsets by the per-pair test.
-
-        The sorted sure shifts split into maximal runs [a, b] of consecutive
-        codes, and a vertex at code c has cum[c + b + 1] - cum[c + a] listed
-        cubes in a run, where cum counts the occupied codes below each code.
-        """
-        cum = np.concatenate(([0], np.cumsum(self.table >= 0)))
-        shifts = np.sort(self.sure)
-        deg = np.zeros(self.N, dtype=np.int64)
-        for run in np.split(shifts, np.flatnonzero(np.diff(shifts) != 1) + 1):
-            if len(run):
-                deg += cum[self.codes + (run[-1] + 1)] - cum[self.codes + run[0]]
+        """Sure offsets by ``_run_sums``, band offsets by the per-pair test."""
+        deg = _run_sums(self.codes, self.sure, np.concatenate(([0], np.cumsum(self.table >= 0))))
         for s in self.band[: len(self.band) // 2]:
-            hit, j = self._along(s, True)
-            deg += hit
-            deg[j] += 1  # one offset never maps two vertices to one
+            j = self.table[self.codes + s]
+            i = np.flatnonzero(j >= 0)
+            i = i[self._close(i, j[i])]
+            deg[i] += 1
+            deg[j[i]] += 1  # one offset never maps two vertices to one
         return deg
+
+    def triangles(self) -> np.ndarray:
+        """Twice the triangles through each vertex: every edge (v, v + d), d in a
+        half stencil, adds its ends' common neighbours v + e to both ends. With
+        d, e and e - d sure they are the listed cubes at v + (sure cap (sure + d)),
+        by run sums; pairs with a band offset take the per-pair test. Listed cubes
+        differ by at most hi - lo per axis and a shift by at most the reach, below
+        the padded width together, so codes decide e - d exactly."""
+        full, m = np.concatenate([self.sure, self.band]), len(self.sure)
+        span = int(np.abs(full).max(initial=0))
+        kind = np.zeros(4 * span + 1, dtype=np.int8)  # of shift x at x + 2 span: 1 sure, 2 band
+        kind[self.sure + 2 * span], kind[self.band + 2 * span] = 1, 2
+        cum, tri2 = np.concatenate(([0], np.cumsum(self.table >= 0))), np.zeros(self.N, dtype=np.int64)
+        for x in [*range(m // 2), *range(m, m + len(self.band) // 2)]:  # d = full[x], a band shift when x >= m
+            j = self.table[self.codes + full[x]]
+            i = np.flatnonzero(j >= 0)
+            if x >= m:
+                i = i[self._close(i, j[i])]
+            j, c = j[i], self.codes[i]
+            k = kind[full - full[x] + 2 * span]  # kind of e - d for every e
+            runs = (k[:m] == 1) & (x < m)  # d, e and e - d all sure
+            common = _run_sums(c, self.sure[runs], cum)
+            k[:m][runs] = 0
+            for y in np.flatnonzero(k):
+                b = self.table[c + full[y]]
+                ok = np.flatnonzero(b >= 0)
+                if y >= m:
+                    ok = ok[self._close(i[ok], b[ok])]
+                if k[y] == 2:
+                    ok = ok[self._close(j[ok], b[ok])]
+                common[ok] += 1
+            tri2[i] += common
+            tri2[j] += common
+        return tri2
 
     @property
     def max_degree(self) -> int:
@@ -277,12 +297,9 @@ class GeoGraph:
         return int(self.degrees.sum()) // 2
 
     def independent(self, vertices) -> bool:
-        """True when no two of ``vertices`` are adjacent.
-
-        An adjacent pair has one member whose partner lies along a half
-        stencil offset, so the half stencils are gathered from every vertex
-        in chunks; band partners take the exact per-pair test.
-        """
+        """True when no two of ``vertices`` are adjacent: an adjacent pair has
+        a member whose partner lies along a half stencil offset, so the half
+        stencils are gathered in chunks; band partners take the per-pair test."""
         vertices = np.asarray(vertices, dtype=np.int64)
         mine = np.zeros(len(self.table), dtype=bool)
         mine[self.codes[vertices]] = True
@@ -321,15 +338,13 @@ class GeoGraph:
 def build_graph(lattice: Lattice, radius: float | None = None) -> GeoGraph:
     """Join representatives closer than 2 * radius (strict), as a stencil.
 
-    Candidate offsets delta satisfy |delta_d| eps <= |delta eps| < 2r, and
-    an offset longer than the index box on some axis has no translate,
-    so the stencil is clipped to the box and the cube table padded by
-    the same reach: every code + shift then stays inside the table. An
-    offset whose norm is below 2r by more than the rounding band is
-    "sure" (each translate is an edge); one within the band of 2r is
-    tested per pair exactly as an all-pairs check would; the rest have
-    no edge. Degrees are computed here and checked against the bound.
-    """
+    Candidate offsets delta satisfy |delta_d| eps <= |delta eps| < 2r; one
+    longer than the index box on some axis has no translate, so the stencil
+    is clipped to the box and the table padded by the same reach, keeping
+    every code + shift inside it. An offset shorter than 2r by more than the
+    rounding band is "sure" (every translate is an edge), one within the band
+    is tested per pair as an all-pairs check would, the rest have no edge.
+    Degrees are computed here and checked against the bound."""
     params = lattice.params
     space = params.space
     eps = params.eps
@@ -372,11 +387,9 @@ def build_graph(lattice: Lattice, radius: float | None = None) -> GeoGraph:
 def local_sparsity_stats(graph: GeoGraph, chain: ConstantChain | None = None) -> dict:
     """Average degree inside each vertex's neighborhood, plus reference.
 
-    Triangle counting goes through a sparse matrix square whose cost is
-    roughly sum(deg^2); graphs past ``MAX_FLOPS`` are refused, before any
-    matrix is built, rather than silently thrashing. The reference value
-    D/K uses the degree bound for D and K = (1/10) (2/c_p)^n; it is an
-    asymptotic guide only, reported but never asserted.
+    ``GeoGraph.triangles`` costs about sum(deg^2); graphs past ``MAX_FLOPS``
+    are refused first. The reference D/K takes D from the degree bound and
+    K = (1/10) (2/c_p)^n; an asymptotic guide, reported but never asserted.
     """
     deg = graph.degrees.astype(np.float64)
     if float((deg**2).sum()) > MAX_FLOPS:
@@ -384,33 +397,15 @@ def local_sparsity_stats(graph: GeoGraph, chain: ConstantChain | None = None) ->
             "neighborhood statistics would need too many operations; "
             "sample vertices instead or rebuild with larger eps"
         )
-    N = graph.N
+    avg = graph.triangles() / np.maximum(deg, 1)  # a vertex of degree 0 is in no triangle
     report = {
-        "vertices": N,
+        "vertices": graph.N,
         "edges": graph.edge_count,
         "max_degree": graph.max_degree,
         "advisory": True,
+        "max_avg_neighborhood_degree": float(avg.max()),
+        "mean_avg_neighborhood_degree": float(avg.mean()),
     }
-    if N == 0 or graph.edge_count == 0:
-        report.update(max_avg_neighborhood_degree=0.0, mean_avg_neighborhood_degree=0.0)
-    else:
-        import scipy.sparse
-
-        hits, partners = zip(*graph.half_edges())
-        i = np.concatenate([np.flatnonzero(hit) for hit in hits])
-        j = np.concatenate(partners)
-        adj = scipy.sparse.csr_matrix(
-            (np.ones(2 * len(i), dtype=np.int64), (np.concatenate([i, j]), np.concatenate([j, i]))),
-            shape=(N, N),
-        )
-        # row sums of (A @ A) * A = twice the triangles through a vertex
-        tri2 = np.asarray((adj @ adj).multiply(adj).sum(axis=1)).ravel()
-        with np.errstate(invalid="ignore", divide="ignore"):
-            avg = np.where(deg > 0, tri2 / np.maximum(deg, 1), 0.0)
-        report.update(
-            max_avg_neighborhood_degree=float(avg.max()),
-            mean_avg_neighborhood_degree=float(avg.mean()),
-        )
     if chain is not None:
         n = graph.lattice.params.space.n
         K = 0.1 * (2.0 / chain.c_p) ** n

@@ -471,6 +471,32 @@ def test_pack_and_verify_import_no_numpy_ma_or_scipy(tmp_path):
     assert run.returncode == 0, run.stderr
 
 
+WITHOUT_SCIPY = (
+    "import json, sys; sys.modules['scipy'] = None; from superpack.cli import main; "
+    "codes = [main(argv) for argv in json.loads(sys.argv[1])]; "
+    "sys.exit(f'exit codes {codes}' if any(codes) else 0)"
+)
+
+
+def test_every_command_runs_without_scipy(tmp_path):
+    cert = str(tmp_path / "cert.json")
+    commands = [
+        ["pack", "--p", "1.5", "--cuts", "0,1,2", "--R", "40", "--eps", "0.3", "--local-stats", "--out", cert],
+        ["verify", "--in", cert],
+        ["constants", "--p", "1.5", "--n", "8"],
+        ["volume", "--p", "1.5", "--cuts", "0,1,2", "--mc", "10000", "--seed", "3"],
+        TestThermo.BASE + ["--count", "3", "--samples", "2000", "--seed", "1"],
+        TestThermo.PRESSURE,
+        TestSimulate.ARGS[:-6] + ["--steps", "800", "--burnin", "100", "--seed", "5"],
+    ]
+    src = str(pathlib.Path(superpack.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", WITHOUT_SCIPY, json.dumps(commands)], env=env,
+                         capture_output=True, text=True, cwd=tmp_path)
+    assert run.returncode == 0, run.stderr
+    assert "max_avg_neighborhood_degree" in (tmp_path / "cert.summary.json").read_text()
+
+
 @pytest.mark.parametrize("argv", [
     TestPackVerify.PACK[:-4] + ["--R", "inf", "--eps", "0.1"],
     TestPackVerify.PACK[:-4] + ["--R", "nan", "--eps", "0.1"],

@@ -1011,6 +1011,22 @@ class TestAlphaCurve:
         with pytest.raises(InputError):
             merge_estimates([a, b])
 
+    def test_merge_probe_free_replicas(self):
+        # estimate_alpha_curve's chains screen no probes: their fv fields pool to None
+        params = ring(20.0, 1.0)
+        ests = [run_chain(params, steps=2_000, burn_in=200, seed=s, free_volume=False) for s in (1, 2)]
+        merged = merge_estimates(ests)
+        assert merged.fv_hat is None and merged.fv_se is None
+        assert merged.alpha_hat == (ests[0].alpha_hat + ests[1].alpha_hat) / 2
+        assert merged.to_json()["fv_hat"] is None
+
+    def test_merge_rejects_probed_with_probe_free(self):
+        params = ring(20.0, 1.0)
+        a = run_chain(params, steps=2_000, burn_in=200, seed=1)
+        b = run_chain(params, steps=2_000, burn_in=200, seed=2, free_volume=False)
+        with pytest.raises(InputError, match="free-volume"):
+            merge_estimates([a, b])
+
 
 class TestIntersectionVolume:
     def test_u_zero(self):

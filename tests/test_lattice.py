@@ -283,13 +283,11 @@ class TestBuildGraph:
 
     def test_readme_case_packs_past_the_old_edge_cap(self, tmp_path, monkeypatch, capsys):
         # 52M edges, five times the 10M cap of an edge-list graph; the
-        # advisory statistics must refuse it before building any matrix
-        import scipy.sparse
+        # advisory statistics must refuse it before counting any triangle
+        def no_count(self):
+            raise AssertionError("counted triangles")
 
-        def no_matrix(*args, **kwargs):
-            raise AssertionError("built a sparse matrix")
-
-        monkeypatch.setattr(scipy.sparse, "csr_matrix", no_matrix)
+        monkeypatch.setattr(GeoGraph, "triangles", no_count)
         cert = tmp_path / "cert.json"
         argv = ["pack", "--p", "1.5", "--cuts", "0,1,2", "--R", "8", "--eps", "0.05"]
         assert main(argv + ["--local-stats", "--out", str(cert)]) == 0
@@ -377,6 +375,18 @@ class TestNeighborhoodSandwich:
             assert (norm_batch(worst, PLANE) <= r2 + margin).all()
 
 
+def _all_pairs_triangles(g: GeoGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Degrees and twice the triangles through each vertex, from the dense adjacency."""
+    reps, space = g.vertices, g.lattice.params.space
+    adj = np.concatenate([
+        norm_batch(reps[a : a + 256, None, :] - reps[None, :, :], space) < 2.0 * g.radius
+        for a in range(0, g.N, 256)
+    ])
+    np.fill_diagonal(adj, False)
+    A = adj.astype(np.float64)  # integer sums below 2^53 are exact in any order
+    return A.sum(axis=1).astype(np.int64), ((A @ A) * A).sum(axis=1).astype(np.int64)
+
+
 class TestSparsityStats:
     def complete_graph(self):
         lat = build_lattice(0.61, 0.3, LINE)  # four cubes, all within 2 r_unit
@@ -407,20 +417,31 @@ class TestSparsityStats:
 
     def test_band_offsets_against_all_pairs_triangles(self):
         # p = 2 at this radius puts 12 offsets in the rounding band, so the
-        # per-pair branch of half_edges feeds the triangle counts
+        # per-pair branch of GeoGraph.triangles feeds the triangle counts
         space = SpaceParams.create(2.0, (0, 2))
         lat = build_lattice(1.5, 0.1, space)
         g = build_graph(lat, radius=0.25)
         assert lat.N == 640 and len(g.band) == 12
-        reps = lat.representatives()
-        adj = norm_batch(reps[:, None, :] - reps[None, :, :], space) < 2.0 * g.radius
-        np.fill_diagonal(adj, False)
-        A = adj.astype(np.int64)
-        deg = A.sum(axis=1)
-        avg = np.where(deg > 0, ((A @ A) * A).sum(axis=1) / np.maximum(deg, 1), 0.0)
+        deg, tri2 = _all_pairs_triangles(g)
+        avg = np.where(deg > 0, tri2 / np.maximum(deg, 1), 0.0)
         stats = local_sparsity_stats(g)
         assert stats["max_avg_neighborhood_degree"] == pytest.approx(avg.max(), rel=1e-12)
         assert stats["mean_avg_neighborhood_degree"] == pytest.approx(avg.mean(), rel=1e-12)
+
+    @given(stencil_cases())
+    @example((SpaceParams.create(2.0, (0, 2)), 3.0, 0.1, 0.25))  # 2,692 cubes, 12 band offsets
+    @example((SpaceParams.create(2.0, (0, 3)), 0.7, 0.1, 0.3))  # 3D, 30 band offsets
+    def test_triangles_match_all_pairs(self, case):
+        space, R, eps, radius = case
+        lat = build_lattice(R, eps, space)
+        assume(lat.N <= 3000)
+        g = build_graph(lat, radius=radius)
+        deg, tri2 = _all_pairs_triangles(g)
+        assert g.triangles().tolist() == tri2.tolist()
+        avg = tri2 / np.maximum(deg, 1)
+        stats = local_sparsity_stats(g)
+        assert stats["max_avg_neighborhood_degree"] == float(avg.max())
+        assert stats["mean_avg_neighborhood_degree"] == float(avg.mean())
 
     def test_edgeless_graph(self):
         lat = build_lattice(1.0, 0.25, LINE)
