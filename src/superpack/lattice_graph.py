@@ -11,10 +11,11 @@ distance from scratch.
 The graph is never materialised: representatives sit on the grid
 (idx + 0.5) eps, so a vertex's neighbours are its translates by one
 offset stencil, looked up in a dense cube table. Offsets clearly shorter
-than 2r join every translate; those within a rounding band of 2r get the
-exact per-pair test. A vertex's degree over a run of consecutive table
-shifts is a difference of two prefix sums of the table's occupancy, and
-so are the common neighbours that count its triangles.
+than 2r join every translate; for those within a rounding band of 2r the
+graph build tests each pair once and keeps the outcome in a table. A
+vertex's degree over a run of consecutive table shifts is a difference of
+two prefix sums of the table's occupancy, and so are the common neighbours
+that count its triangles.
 
 Quantities that recur below:
 
@@ -222,9 +223,9 @@ class GeoGraph:
     """Symmetric proximity graph held as a translate stencil.
 
     Vertex v's neighbours are the listed cubes at table code codes[v] + s
-    for s in ``sure`` (each one an edge) and in ``band`` (an edge when the
-    exact distance test passes). Both stencils list the shifts of the
-    offsets with first nonzero coordinate positive, then their negatives.
+    for s in ``sure`` (each one an edge) and for s = band[x] where
+    links[x, v] holds. Both stencils list the shifts of the offsets with
+    first nonzero coordinate positive, then their negatives.
     """
 
     lattice: Lattice
@@ -234,56 +235,47 @@ class GeoGraph:
     codes: np.ndarray  # table code of every vertex
     sure: np.ndarray  # table shifts
     band: np.ndarray
+    links: np.ndarray  # (len(band), N) bool: v + band[x] is listed and closer than 2r to v
 
     @property
     def N(self) -> int:
         return len(self.vertices)
 
-    def _close(self, i, j) -> np.ndarray:
-        return norm_batch(self.vertices[i] - self.vertices[j], self.lattice.params.space) < 2.0 * self.radius
+    @cached_property
+    def _cum(self) -> np.ndarray:
+        """Listed codes below each code, the prefix sums ``_run_sums`` reads."""
+        return np.concatenate(([0], np.cumsum(self.table >= 0)))
 
     @cached_property
     def degrees(self) -> np.ndarray:
-        """Sure offsets by ``_run_sums``, band offsets by the per-pair test."""
-        deg = _run_sums(self.codes, self.sure, np.concatenate(([0], np.cumsum(self.table >= 0))))
-        for s in self.band[: len(self.band) // 2]:
-            j = self.table[self.codes + s]
-            i = np.flatnonzero(j >= 0)
-            i = i[self._close(i, j[i])]
-            deg[i] += 1
-            deg[j[i]] += 1  # one offset never maps two vertices to one
-        return deg
+        """Sure offsets by ``_run_sums``, band offsets from ``links``."""
+        return _run_sums(self.codes, self.sure, self._cum) + self.links.sum(axis=0)
 
     def triangles(self) -> np.ndarray:
         """Twice the triangles through each vertex: every edge (v, v + d), d in a
         half stencil, adds its ends' common neighbours v + e to both ends. With
         d, e and e - d sure they are the listed cubes at v + (sure cap (sure + d)),
-        by run sums; pairs with a band offset take the per-pair test. Listed cubes
-        differ by at most hi - lo per axis and a shift by at most the reach, below
-        the padded width together, so codes decide e - d exactly."""
+        by run sums; band edges are read from ``links``. Listed cubes differ by at
+        most hi - lo per axis and a shift by at most the reach, below the padded
+        width together, so codes decide e - d exactly."""
         full, m = np.concatenate([self.sure, self.band]), len(self.sure)
         span = int(np.abs(full).max(initial=0))
-        kind = np.zeros(4 * span + 1, dtype=np.int8)  # of shift x at x + 2 span: 1 sure, 2 band
-        kind[self.sure + 2 * span], kind[self.band + 2 * span] = 1, 2
-        cum, tri2 = np.concatenate(([0], np.cumsum(self.table >= 0))), np.zeros(self.N, dtype=np.int64)
+        at = np.full(4 * span + 1, -2)  # of shift x at x + 2 span: -1 sure, its band index, or -2 none
+        at[self.sure + 2 * span], at[self.band + 2 * span] = -1, np.arange(len(self.band))
+        tri2 = np.zeros(self.N, dtype=np.int64)
         for x in [*range(m // 2), *range(m, m + len(self.band) // 2)]:  # d = full[x], a band shift when x >= m
             j = self.table[self.codes + full[x]]
-            i = np.flatnonzero(j >= 0)
-            if x >= m:
-                i = i[self._close(i, j[i])]
+            i = np.flatnonzero(j >= 0 if x < m else self.links[x - m])
             j, c = j[i], self.codes[i]
-            k = kind[full - full[x] + 2 * span]  # kind of e - d for every e
-            runs = (k[:m] == 1) & (x < m)  # d, e and e - d all sure
-            common = _run_sums(c, self.sure[runs], cum)
-            k[:m][runs] = 0
-            for y in np.flatnonzero(k):
-                b = self.table[c + full[y]]
-                ok = np.flatnonzero(b >= 0)
-                if y >= m:
-                    ok = ok[self._close(i[ok], b[ok])]
-                if k[y] == 2:
-                    ok = ok[self._close(j[ok], b[ok])]
-                common[ok] += 1
+            k = at[full - full[x] + 2 * span]  # e - d for every e
+            runs = (k[:m] == -1) & (x < m)  # d, e and e - d all sure
+            common = _run_sums(c, self.sure[runs], self._cum)
+            k[:m][runs] = -2
+            for y in np.flatnonzero(k > -2):
+                ok = self.links[y - m, i] if y >= m else self.table[c + full[y]] >= 0
+                if k[y] >= 0:
+                    ok &= self.links[k[y], j]
+                common += ok
             tri2[i] += common
             tri2[j] += common
         return tri2
@@ -299,35 +291,26 @@ class GeoGraph:
     def independent(self, vertices) -> bool:
         """True when no two of ``vertices`` are adjacent: an adjacent pair has
         a member whose partner lies along a half stencil offset, so the half
-        stencils are gathered in chunks; band partners take the per-pair test."""
+        stencils are gathered in chunks; band partners count where ``links`` holds."""
         vertices = np.asarray(vertices, dtype=np.int64)
         mine = np.zeros(len(self.table), dtype=bool)
         mine[self.codes[vertices]] = True
-        sure, band = self.sure[: len(self.sure) // 2], self.band[: len(self.band) // 2]
-        step = max(1, 2**18 // max(1, len(sure) + len(band)))
+        h = len(self.band) // 2
+        sure, band = self.sure[: len(self.sure) // 2], self.band[:h]
+        step = max(1, 2**18 // max(1, len(sure) + h))
         for a in range(0, len(vertices), step):
             v = vertices[a : a + step]
             c = self.codes[v][:, None]
             if mine[c + sure].any():
                 return False
-            row, col = np.nonzero(mine[c + band])
-            if len(row) and self._close(v[row], self.table[c[row, 0] + band[col]]).any():
+            if (mine[c + band] & self.links[:h, v].T).any():
                 return False
         return True
 
-    def _band_row(self, v: int) -> np.ndarray:
-        """Neighbours of v along band offsets, by the per-pair test."""
-        near = self.table[self.codes[v] + self.band]
-        near = near[near >= 0]
-        return near[self._close(v, near)]
-
     def neighbor_row(self, v: int) -> np.ndarray:
         """Sorted neighbours of v, gathered from the full stencil."""
-        row = self.table[self.codes[v] + self.sure]
-        row = row[row >= 0]
-        if len(self.band):
-            row = np.concatenate([row, self._band_row(v)])
-        return np.sort(row)
+        row = self.table[self.codes[v] + np.concatenate([self.sure, self.band[self.links[:, v]]])]
+        return np.sort(row[row >= 0])
 
     def degree_bound(self) -> float:
         """Closed-neighborhood cardinality bound from the cube argument."""
@@ -343,8 +326,8 @@ def build_graph(lattice: Lattice, radius: float | None = None) -> GeoGraph:
     is clipped to the box and the table padded by the same reach, keeping
     every code + shift inside it. An offset shorter than 2r by more than the
     rounding band is "sure" (every translate is an edge), one within the band
-    is tested per pair as an all-pairs check would, the rest have no edge.
-    Degrees are computed here and checked against the bound."""
+    is tested once per pair as an all-pairs check would, into ``links``; the
+    rest have no edge. Degrees are computed here and checked against the bound."""
     params = lattice.params
     space = params.space
     eps = params.eps
@@ -376,8 +359,16 @@ def build_graph(lattice: Lattice, radius: float | None = None) -> GeoGraph:
     rows, _, _, strides, codes = lattice.table(reach)
     sure = deltas[length < threshold - band] @ strides
     near = deltas[(length >= threshold - band) & (length < threshold + band)] @ strides
+    # each pair along a half band shift is tested once and marked at both ends;
+    # a - b is exactly -(b - a), so the reverse test would give the same answer
+    links = np.zeros((2 * len(near), lattice.N), dtype=bool)
+    for x, s in enumerate(near):
+        j = rows[codes + s]
+        i = np.flatnonzero(j >= 0)
+        i = i[norm_batch(reps[i] - reps[j[i]], space) < threshold]
+        links[x, i] = links[x + len(near), j[i]] = True
     graph = GeoGraph(lattice, reps, float(radius), rows, codes,
-                     np.concatenate([sure, -sure]), np.concatenate([near, -near]))
+                     np.concatenate([sure, -sure]), np.concatenate([near, -near]), links)
     bound = graph.degree_bound()
     if graph.N and graph.max_degree + 1 > bound * (1.0 + 1e-9):
         raise ComputationError(f"closed neighborhood of size {graph.max_degree + 1} exceeded its bound {bound}")
@@ -387,9 +378,10 @@ def build_graph(lattice: Lattice, radius: float | None = None) -> GeoGraph:
 def local_sparsity_stats(graph: GeoGraph, chain: ConstantChain | None = None) -> dict:
     """Average degree inside each vertex's neighborhood, plus reference.
 
-    ``GeoGraph.triangles`` costs about sum(deg^2); graphs past ``MAX_FLOPS``
-    are refused first. The reference D/K takes D from the degree bound and
-    K = (1/10) (2/c_p)^n; an asymptotic guide, reported but never asserted.
+    Sum(deg^2) is the guard's proxy for the cost of ``GeoGraph.triangles``;
+    graphs past ``MAX_FLOPS`` on it are refused first. The reference D/K
+    takes D from the degree bound and K = (1/10) (2/c_p)^n; an asymptotic
+    guide, reported but never asserted.
     """
     deg = graph.degrees.astype(np.float64)
     if float((deg**2).sum()) > MAX_FLOPS:
@@ -431,7 +423,7 @@ def greedy_independent_set(graph: GeoGraph, order_rule: str = "mindeg") -> np.nd
 
     # blocked flags by table code, read as a bytearray and scattered through
     # a numpy view of it: a chosen vertex marks its sure translates without
-    # filtering empty cells; band partners take the per-pair test
+    # filtering empty cells, and its band partners where ``links`` holds
     blocked = bytearray(len(graph.table))
     flags = np.frombuffer(blocked, dtype=np.uint8)
     chosen = []
@@ -442,7 +434,7 @@ def greedy_independent_set(graph: GeoGraph, order_rule: str = "mindeg") -> np.nd
                 chosen.append(c)
                 flags[c + graph.sure] = 1
                 if len(graph.band):
-                    flags[graph.codes[graph._band_row(graph.table[c])]] = 1
+                    flags[c + graph.band[graph.links[:, graph.table[c]]]] = 1
     chosen = np.sort(graph.table[np.array(chosen, dtype=np.int64)])
     if not graph.independent(chosen):
         raise ComputationError("greedy result is not independent")

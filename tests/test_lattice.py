@@ -342,6 +342,29 @@ class TestStencilGraph:
         for rule, order in orders.items():
             assert greedy_independent_set(g, rule).tolist() == _all_pairs_greedy(adj, order)
 
+    def test_band_pairs_are_decided_once(self, monkeypatch):
+        # 640 cubes and 12 band offsets: build_graph tests every band pair,
+        # and nothing the graph answers afterwards measures a distance again
+        g = build_graph(build_lattice(1.5, 0.1, SpaceParams.create(2.0, (0, 2))), radius=0.25)
+        h = len(g.band) // 2
+        assert g.N == 640 and h == 6 and g.links.shape == (12, 640) and g.links.dtype == bool
+        for x in range(2 * h):
+            u = g.table[g.codes + g.band[x]]
+            v = np.flatnonzero(u >= 0)
+            assert (g.links[x, v] == g.links[(x + h) % (2 * h), u[v]]).all()
+            assert not g.links[x, u < 0].any()
+        assert g.links.any() and not g.links.all()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("norm_batch called after build_graph")
+
+        monkeypatch.setattr(lattice_graph, "norm_batch", refuse)
+        g.triangles()
+        mis = greedy_independent_set(g)
+        assert g.independent(mis)
+        for v in range(g.N):
+            g.neighbor_row(v)
+
 
 class TestNeighborhoodSandwich:
     """B(x, 2r - margin) cap B(0, R - margin) sits inside the closed
@@ -769,9 +792,18 @@ class TestPackVerifyGolden:
          ("a7b09d3dddb8e68eea5ad0324fdfa699f90718f708cb5665ac4a65cf5614104b",
           "a495075565e408bbbe418b3a883160a11af3d7a4d8dc06303e8e305e4a265c68",
           "e30b4b3d679cfc8348729f45a1bacde703b97eccc84eab0841fc2ad867ccee4f")),
+        # rounding-band cases: 12 and 30 band offsets
+        (["--p", "2", "--cuts", "0,2", "--R", "3", "--eps", "0.1", "--radius", "0.25", "--local-stats"],
+         ("327ad168bb1fe3b1c7dcdeb74000d7993239c0356739dac37b5765271dbf4781",
+          "1fc58a6e9bfffe417623b063c284515630c8beeb9161e60f9191da7e07583921",
+          "c059ec1bf34fbed279e452466b7a74b0421169188f3ff08ba527cab64e1cfd48")),
+        (["--p", "2", "--cuts", "0,3", "--R", "2", "--eps", "0.1", "--radius", "0.3"],
+         ("1146b895456523b313fe5e1198991f982d66e862bf3f402e9230165dd9b6bc32",
+          "a33e8fffe70985fae1a6f310ddfc6b0168fc48e4211efe463d2760fdfc72b2e6",
+          "d73aa966e07bd546f2b6936d7cbe933856751d829aa037fc2e67fbd99b5a57e3")),
     ]
 
-    @pytest.mark.parametrize("case", GOLDEN, ids=["plane-p1.5", "space-p2-lex"])
+    @pytest.mark.parametrize("case", GOLDEN, ids=["plane-p1.5", "space-p2-lex", "band-plane-stats", "band-space"])
     def test_outputs_golden(self, case, tmp_path, monkeypatch, capsys):
         argv, digests = case
         monkeypatch.chdir(tmp_path)
